@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "kronlab/common/error.hpp"
@@ -31,12 +31,16 @@ class WedgeAccumulator {
 public:
   explicit WedgeAccumulator(index_t n)
       : block_(std::min(n, wedge_block_entries)),
-        dense_(static_cast<std::size_t>(block_), 0) {}
+        dense_(static_cast<std::size_t>(block_), 0),
+        touched_dense_(static_cast<std::size_t>(block_) + 1) {}
 
   void add(index_t k) {
     if (k < block_) {
+      // Branchless append: always write k past the touched prefix, and
+      // keep it only when this is k's first wedge.
       auto& slot = dense_[static_cast<std::size_t>(k)];
-      if (slot == 0) touched_dense_.push_back(k);
+      touched_dense_[touched_count_] = static_cast<std::uint32_t>(k);
+      touched_count_ += static_cast<std::size_t>(slot == 0);
       ++slot;
     } else {
       add_tail(k);
@@ -62,12 +66,12 @@ public:
   /// Visit every nonzero (endpoint, count) pair, then zero the table.
   template <typename Use>
   void drain(Use&& use) {
-    for (const index_t k : touched_dense_) {
-      auto& slot = dense_[static_cast<std::size_t>(k)];
-      use(k, static_cast<count_t>(slot));
-      slot = 0;
+    for (std::size_t t = 0; t < touched_count_; ++t) {
+      const std::uint32_t k = touched_dense_[t];
+      use(static_cast<index_t>(k), static_cast<count_t>(dense_[k]));
+      dense_[k] = 0;
     }
-    touched_dense_.clear();
+    touched_count_ = 0;
     for (const std::size_t s : touched_tail_) {
       use(tail_keys_[s], static_cast<count_t>(tail_vals_[s]));
       tail_keys_[s] = empty_key;
@@ -82,7 +86,7 @@ public:
   }
 
   [[nodiscard]] bool empty() const {
-    return touched_dense_.empty() && touched_tail_.empty();
+    return touched_count_ == 0 && touched_tail_.empty();
   }
 
 private:
@@ -133,7 +137,10 @@ private:
 
   index_t block_;
   std::vector<std::uint32_t> dense_;  ///< counts for ids < block_
-  std::vector<index_t> touched_dense_;
+  /// Ids touched since the last drain, in [0, touched_count_); one slot
+  /// more than block_ for the speculative write of add().
+  std::vector<std::uint32_t> touched_dense_;
+  std::size_t touched_count_ = 0;
   std::vector<index_t> tail_keys_;    ///< open addressing, power-of-two
   std::vector<std::uint32_t> tail_vals_;
   std::vector<std::size_t> touched_tail_; ///< occupied slots, for drain
@@ -144,78 +151,122 @@ private:
 DegreeOrder::DegreeOrder(const Adjacency& a, bool with_entry_map) {
   metrics::KernelScope scope("graph/degree_order");
   const index_t n = a.nrows();
-  orig.resize(static_cast<std::size_t>(n));
-  std::iota(orig.begin(), orig.end(), index_t{0});
-  std::sort(orig.begin(), orig.end(), [&](index_t x, index_t y) {
-    const offset_t dx = a.row_degree(x);
-    const offset_t dy = a.row_degree(y);
-    return dx != dy ? dx > dy : x < y;
+  const auto un = static_cast<std::size_t>(n);
+  rank.resize(un);
+  orig.resize(un);
+  std::vector<offset_t> row_ptr(un + 1);
+  row_ptr[un] = a.nnz();
+
+  // Ranks: a stable counting sort by non-increasing degree over one
+  // contiguous id range per pool worker.  Each part counts its degrees; a
+  // serial pass over (degree descending, part ascending) turns the counts
+  // into each part's first rank per degree; each part then hands out ranks
+  // to its vertices in id order.  Ties therefore keep id order at any pool
+  // width.  Every rank of degree class d is followed by d entries, so a
+  // row's offset is its class's first offset plus d per earlier rank.
+  const offset_t max_degree = parallel_reduce(
+      0, n, offset_t{0}, [&](index_t v) { return a.row_degree(v); },
+      [](offset_t x, offset_t y) { return std::max(x, y); });
+  const auto classes = static_cast<std::size_t>(max_degree) + 1;
+  // Below parallel_grain vertices, dispatch costs more than these passes.
+  const bool serial = n < parallel_grain;
+  const index_t parts =
+      serial ? 1 : static_cast<index_t>(global_pool().size());
+  const index_t part_len = (n + parts - 1) / parts;
+  std::vector<offset_t> next(static_cast<std::size_t>(parts) * classes, 0);
+  const auto for_each_part = [&](auto&& body) {
+    parallel_for_dynamic(
+        0, parts,
+        [&](index_t t) {
+          body(&next[static_cast<std::size_t>(t) * classes], t * part_len,
+               std::min(n, (t + 1) * part_len));
+        },
+        global_pool(), /*grain=*/1);
+  };
+  for_each_part([&](offset_t* count, index_t lo, index_t hi) {
+    for (index_t v = lo; v < hi; ++v) ++count[a.row_degree(v)];
   });
-  rank.resize(static_cast<std::size_t>(n));
-  for (index_t r = 0; r < n; ++r) {
-    rank[static_cast<std::size_t>(orig[static_cast<std::size_t>(r)])] = r;
+  std::vector<offset_t> class_rank(classes);
+  std::vector<offset_t> class_offset(classes);
+  offset_t ranked = 0;
+  offset_t entries = 0;
+  for (std::size_t d = classes; d-- > 0;) {
+    class_rank[d] = ranked;
+    class_offset[d] = entries;
+    for (index_t t = 0; t < parts; ++t) {
+      auto& slot = next[static_cast<std::size_t>(t) * classes + d];
+      const offset_t count = slot;
+      slot = ranked;
+      ranked += count;
+    }
+    entries += (ranked - class_rank[d]) * static_cast<offset_t>(d);
   }
+  for_each_part([&](offset_t* next_rank, index_t lo, index_t hi) {
+    for (index_t v = lo; v < hi; ++v) {
+      const offset_t d = a.row_degree(v);
+      const index_t r = next_rank[d]++;
+      rank[static_cast<std::size_t>(v)] = r;
+      orig[static_cast<std::size_t>(r)] = v;
+      row_ptr[static_cast<std::size_t>(r)] =
+          class_offset[static_cast<std::size_t>(d)] +
+          (r - class_rank[static_cast<std::size_t>(d)]) * d;
+    }
+  });
 
-  std::vector<offset_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
-  for (index_t r = 0; r < n; ++r) {
-    row_ptr[static_cast<std::size_t>(r) + 1] =
-        a.row_degree(orig[static_cast<std::size_t>(r)]);
-  }
-  for (index_t r = 0; r < n; ++r) {
-    row_ptr[static_cast<std::size_t>(r) + 1] +=
-        row_ptr[static_cast<std::size_t>(r)];
-  }
+  // Rows: relabeled row r gathers the ranks of orig[r]'s neighbours and
+  // sorts them.  With the entry map, each rank is packed above its
+  // position e in the original row, so relabeled entry (r, c) maps to the
+  // stored offset arp[orig[r]] + e of original entry (orig[r], orig[c]).
   const auto nnz = static_cast<std::size_t>(a.nnz());
-  std::vector<index_t> col_idx(nnz);
-
-  // Rows of the relabeled matrix are built sorted with a counting-sort
-  // sweep instead of per-row comparison sorts: walking target ranks c in
-  // ascending order and appending c to every row rank[v], v ∈ N(orig[c]),
-  // emits each relabeled row's columns in ascending order — O(nnz), no
-  // sort.
-  std::vector<offset_t> fill(row_ptr.begin(), row_ptr.end() - 1);
-  if (!with_entry_map) {
-    for (index_t c = 0; c < n; ++c) {
-      for (const index_t v : a.row_cols(orig[static_cast<std::size_t>(c)])) {
-        col_idx[static_cast<std::size_t>(
-            fill[static_cast<std::size_t>(
-                rank[static_cast<std::size_t>(v)])]++)] = c;
-      }
-    }
-  } else {
-    // The relabeled entry written for target rank c into row rank[v] is
-    // original entry (v, orig[c]) — the *mirror* of the entry (orig[c], v)
-    // being walked.  The adjacency is structurally symmetric, so mirror
-    // offsets come from one id-order cursor sweep (row v's entries are
-    // met in ascending u as u sweeps ascending), and entry_map needs no
-    // search or sort either.
-    entry_map.resize(nnz);
-    std::vector<offset_t> mirror(nnz);
-    const auto& arp = a.row_ptr();
-    std::vector<offset_t> cursor(arp.begin(), arp.end() - 1);
-    for (index_t u = 0; u < n; ++u) {
-      const auto cols = a.row_cols(u);
-      const auto base = static_cast<std::size_t>(arp[static_cast<std::size_t>(u)]);
-      for (std::size_t e = 0; e < cols.size(); ++e) {
-        mirror[base + e] = cursor[static_cast<std::size_t>(cols[e])]++;
-      }
-    }
-    for (index_t c = 0; c < n; ++c) {
-      const index_t u = orig[static_cast<std::size_t>(c)];
-      const auto cols = a.row_cols(u);
-      const auto base = static_cast<std::size_t>(arp[static_cast<std::size_t>(u)]);
-      for (std::size_t e = 0; e < cols.size(); ++e) {
-        const auto q = static_cast<std::size_t>(
-            fill[static_cast<std::size_t>(
-                rank[static_cast<std::size_t>(cols[e])])]++);
-        col_idx[q] = c;
-        entry_map[q] = mirror[base + e];
-      }
-    }
-  }
-  relabeled =
-      Adjacency(n, n, std::move(row_ptr), std::move(col_idx),
-                std::vector<count_t>(static_cast<std::size_t>(a.nnz()), 1));
+  KRONLAB_REQUIRE(!with_entry_map || n <= index_t{1} << 32,
+                  "entry map packs ranks and row positions in 32 bits");
+  // A fresh nnz-sized array costs mostly its first-touch page faults;
+  // value-initializing each array on its own worker overlaps them.
+  std::vector<index_t> col_idx;
+  std::vector<count_t> ones;
+  const index_t arrays = with_entry_map ? 3 : 2;
+  parallel_for_dynamic(
+      0, arrays,
+      [&](index_t k) {
+        if (k == 0) col_idx.resize(nnz);
+        if (k == 1) ones.assign(nnz, 1);
+        if (k == 2) entry_map.resize(nnz);
+      },
+      global_pool(), /*grain=*/serial ? arrays : 1);
+  const auto& arp = a.row_ptr();
+  parallel_for_range_dynamic_scratch(
+      0, n, [](std::size_t) { return std::vector<std::uint64_t>(); },
+      [&](std::vector<std::uint64_t>& keys, index_t lo, index_t hi) {
+        for (index_t r = lo; r < hi; ++r) {
+          const index_t v = orig[static_cast<std::size_t>(r)];
+          const auto cols = a.row_cols(v);
+          const auto base =
+              static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(r)]);
+          if (!with_entry_map) {
+            index_t* const row = col_idx.data() + base;
+            for (std::size_t e = 0; e < cols.size(); ++e) {
+              row[e] = rank[static_cast<std::size_t>(cols[e])];
+            }
+            std::sort(row, row + cols.size());
+            continue;
+          }
+          keys.resize(cols.size());
+          for (std::size_t e = 0; e < cols.size(); ++e) {
+            const auto c = static_cast<std::uint64_t>(
+                rank[static_cast<std::size_t>(cols[e])]);
+            keys[e] = c << 32 | e;
+          }
+          std::sort(keys.begin(), keys.end());
+          const offset_t orig_base = arp[static_cast<std::size_t>(v)];
+          for (std::size_t e = 0; e < keys.size(); ++e) {
+            col_idx[base + e] = static_cast<index_t>(keys[e] >> 32);
+            entry_map[base + e] =
+                orig_base + static_cast<offset_t>(keys[e] & 0xffffffffu);
+          }
+        }
+      });
+  relabeled = Adjacency(n, n, std::move(row_ptr), std::move(col_idx),
+                        std::move(ones));
 }
 
 grb::Vector<count_t> vertex_butterflies_blocked(const Adjacency& a) {
@@ -273,8 +324,7 @@ grb::Vector<count_t> vertex_butterflies_blocked(const Adjacency& a) {
 grb::Csr<count_t> edge_butterflies_blocked(const Adjacency& a) {
   require_simple(a, "edge_butterflies_blocked");
   metrics::KernelScope scope("graph/edge_butterflies_blocked");
-  grb::Csr<count_t> out = a;
-  if (a.nrows() == 0 || a.nnz() == 0) return out;
+  if (a.nrows() == 0 || a.nnz() == 0) return a;
   const DegreeOrder ord(a, /*with_entry_map=*/true);
   const Adjacency& g = ord.relabeled;
   const auto& grp = g.row_ptr();
@@ -291,15 +341,16 @@ grb::Csr<count_t> edge_butterflies_blocked(const Adjacency& a) {
   // row j, stored-entry offsets known directly from the row walks.  Each
   // undirected edge thus accumulates across its two mirror slots — phase 2
   // folds them.  Row j is shared across many i, so workers accumulate
-  // into private images of rvals, reduced once at the end.
-  std::vector<count_t> rvals(static_cast<std::size_t>(g.nnz()), 0);
+  // into private images of rvals, reduced once at the end into worker
+  // 0's image (the calling thread always participates as worker 0).
+  std::vector<std::vector<count_t>> partials(global_pool().size());
+  std::vector<count_t>& rvals = partials[0];
   {
     metrics::KernelScope phase1("graph/edge_blocked_phase1");
     struct Scratch {
       WedgeAccumulator acc;
       std::vector<count_t>* rpart;
     };
-    std::vector<std::vector<count_t>> partials(global_pool().size());
     parallel_for_range_dynamic_scratch(
         0, n,
         [&](std::size_t id) {
@@ -339,7 +390,8 @@ grb::Csr<count_t> edge_butterflies_blocked(const Adjacency& a) {
         });
     parallel_for_range_dynamic(
         0, static_cast<index_t>(g.nnz()), [&](index_t lo, index_t hi) {
-          for (const auto& p : partials) {
+          for (std::size_t w = 1; w < partials.size(); ++w) {
+            const auto& p = partials[w];
             if (p.empty()) continue;
             for (index_t q = lo; q < hi; ++q) {
               rvals[static_cast<std::size_t>(q)] +=
@@ -382,18 +434,34 @@ grb::Csr<count_t> edge_butterflies_blocked(const Adjacency& a) {
     }
   }
 
-  // Phase 3: scatter rank-space values back to the original structure.
+  // Phase 3: scatter rank-space values back to the original structure
+  // and copy that structure.  The output's col_idx and vals are nnz-sized
+  // int64 arrays, as are the spent worker images of phase 1; reusing
+  // those, already resident, skips a serial first-touch pass over fresh
+  // pages.  entry_map is a bijection, so the scatter writes every value.
   metrics::KernelScope phase3("graph/edge_blocked_phase3");
-  auto& vals = out.vals();
+  static_assert(std::is_same_v<index_t, count_t>);
+  const auto take_buffer = [&] {
+    if (partials.size() > 1 && !partials.back().empty()) {
+      std::vector<count_t> spent = std::move(partials.back());
+      partials.pop_back();
+      return spent;
+    }
+    return std::vector<count_t>(static_cast<std::size_t>(g.nnz()));
+  };
+  std::vector<count_t> vals = take_buffer();
+  std::vector<index_t> col_idx = take_buffer();
+  const auto& acol = a.col_idx();
   parallel_for_range_dynamic(
       0, static_cast<index_t>(g.nnz()), [&](index_t lo, index_t hi) {
         for (index_t p = lo; p < hi; ++p) {
-          vals[static_cast<std::size_t>(
-              ord.entry_map[static_cast<std::size_t>(p)])] =
-              rvals[static_cast<std::size_t>(p)];
+          const auto q = static_cast<std::size_t>(p);
+          vals[static_cast<std::size_t>(ord.entry_map[q])] = rvals[q];
+          col_idx[q] = acol[q];
         }
       });
-  return out;
+  return {a.nrows(), a.ncols(), a.row_ptr(), std::move(col_idx),
+          std::move(vals)};
 }
 
 } // namespace kronlab::graph

@@ -14,7 +14,10 @@
 //     of the id space, so accumulator traffic concentrates in a few
 //     cache-resident pages, and iterating rows in relabeled order visits
 //     the CSR in degree-sorted blocks — the dynamic scheduler's chunks
-//     carry comparable work and stay cache-resident.
+//     carry comparable work and stay cache-resident.  The relabel runs on
+//     the pool: a stable counting sort over per-worker id ranges assigns
+//     the ranks, then every relabeled row gathers its neighbours' ranks
+//     and sorts them on its own.
 //
 //  2. Blocked accumulation.  The per-worker accumulator is a dense
 //     L2-sized block over the head of the relabeled id space, with an
@@ -49,14 +52,16 @@ namespace kronlab::graph {
 /// position in non-increasing degree order (ties broken by original id),
 /// `orig[r]` inverts it, and `relabeled` is the adjacency re-indexed by
 /// rank with rows sorted.  Relabeling is a similarity permutation, so every
-/// count computed on `relabeled` maps back through `orig`.
+/// count computed on `relabeled` maps back through `orig`.  Built on the
+/// global pool; the result is the same at every pool width.
 struct DegreeOrder {
   std::vector<index_t> rank; ///< original id → degree rank
   std::vector<index_t> orig; ///< degree rank → original id
   Adjacency relabeled;       ///< adjacency over ranks, rows sorted
-  /// Stored-entry offset in the original matrix of each relabeled entry
-  /// (built only with `with_entry_map`; lets per-edge results computed in
-  /// rank space scatter back without any binary search).
+  /// Stored-entry offset in the original matrix of each relabeled entry:
+  /// entry (r, c) of `relabeled` maps to the offset of (orig[r], orig[c])
+  /// in `a` (built only with `with_entry_map`; lets per-edge results
+  /// computed in rank space scatter back without any binary search).
   std::vector<offset_t> entry_map;
 
   explicit DegreeOrder(const Adjacency& a, bool with_entry_map = false);

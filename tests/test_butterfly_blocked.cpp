@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
+#include "kronlab/common/random.hpp"
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/gen/rmat.hpp"
 #include "kronlab/graph/blocked.hpp"
@@ -40,6 +42,35 @@ Adjacency seeded_graph(int id) {
     }
     default: return gen::preferential_bipartite(48, 40, 260, rng);
   }
+}
+
+// A sparse, hub-heavy bipartite graph with more than wedge_block_entries
+// vertices, so the lowest-degree ranks fall in the wedge accumulator's
+// hash tail.  Vertices [0, small_hubs) are hubs of degree ~67, vertex
+// big_hub is a hub of degree 2000, and every leaf has degree 2.  Ties
+// rank in id order, so the last leaves — all adjacent to the big hub —
+// get the highest ranks: each of them walks past up to 1999 distinct tail
+// endpoints in one row, which makes the tail table rehash twice.
+constexpr index_t small_hubs = 2000;
+constexpr index_t big_hub = small_hubs;
+constexpr index_t leaves = 68000;
+constexpr index_t big_hub_leaves = 2000;
+
+Adjacency hub_tail_graph() {
+  Rng rng(7177);
+  std::vector<std::pair<index_t, index_t>> edges;
+  for (index_t l = 0; l < leaves; ++l) {
+    const index_t leaf = big_hub + 1 + l;
+    const index_t h = rng.uniform(0, small_hubs - 1);
+    edges.emplace_back(leaf, h);
+    if (l >= leaves - big_hub_leaves) {
+      edges.emplace_back(leaf, big_hub);
+    } else {
+      const index_t h2 = rng.uniform(0, small_hubs - 2);
+      edges.emplace_back(leaf, h2 < h ? h2 : h2 + 1); // a second, distinct hub
+    }
+  }
+  return graph::from_undirected_edges(big_hub + 1 + leaves, edges);
 }
 
 // -------------------------------------------------------------------------
@@ -105,6 +136,36 @@ TEST(DegreeOrder, EntryMapScattersRankEntriesToOriginalOffsets) {
   }
 }
 
+TEST(DegreeOrder, TiesKeepIdOrderAndBuildIsWidthIndependent) {
+  for (const auto& a : {seeded_graph(1), seeded_graph(5), hub_tail_graph()}) {
+    std::vector<graph::DegreeOrder> orders;
+    for (const std::size_t width : {1u, 2u, 4u, 8u}) {
+      ThreadPool pool(width);
+      ScopedPoolOverride guard(pool);
+      orders.emplace_back(a, /*with_entry_map=*/true);
+      const auto& ord = orders.back();
+      for (index_t r = 0; r + 1 < a.nrows(); ++r) {
+        const index_t v = ord.orig[static_cast<std::size_t>(r)];
+        const index_t w = ord.orig[static_cast<std::size_t>(r) + 1];
+        if (a.row_degree(v) == a.row_degree(w)) {
+          ASSERT_LT(v, w) << "rank " << r << " width " << width;
+        }
+      }
+      // The plain relabel builds the same rows as the one with the map.
+      const graph::DegreeOrder plain(a);
+      ASSERT_EQ(plain.rank, ord.rank) << "width " << width;
+      ASSERT_EQ(plain.relabeled, ord.relabeled) << "width " << width;
+    }
+    for (std::size_t k = 1; k < orders.size(); ++k) {
+      EXPECT_EQ(orders[k].rank, orders[0].rank) << "order " << k;
+      EXPECT_EQ(orders[k].orig, orders[0].orig) << "order " << k;
+      EXPECT_EQ(orders[k].relabeled.col_idx(), orders[0].relabeled.col_idx())
+          << "order " << k;
+      EXPECT_EQ(orders[k].entry_map, orders[0].entry_map) << "order " << k;
+    }
+  }
+}
+
 // -------------------------------------------------------------------------
 // Kernel layer: blocked == reference, bit for bit, at every pool width.
 
@@ -162,6 +223,33 @@ TEST_P(BlockedWidthTest, DispatchersUseBlockedAndStayExact) {
 
 INSTANTIATE_TEST_SUITE_P(PoolWidths, BlockedWidthTest,
                          ::testing::Values(1, 2, 4, 8));
+
+TEST(BlockedHashTail, MatchesReferenceBeyondTheDenseBlock) {
+  const auto a = hub_tail_graph();
+  ASSERT_GT(a.nrows(), graph::wedge_block_entries);
+  {
+    // Every big-hub leaf must rank in the tail, or the tail goes untested.
+    const graph::DegreeOrder ord(a);
+    for (index_t v = a.nrows() - big_hub_leaves; v < a.nrows(); ++v) {
+      ASSERT_GE(ord.rank[static_cast<std::size_t>(v)],
+                graph::wedge_block_entries)
+          << "vertex " << v;
+    }
+  }
+  const auto vref = graph::vertex_butterflies_reference(a);
+  const auto eref = graph::edge_butterflies_reference(a);
+  count_t tail_squares = 0;
+  for (index_t v = a.nrows() - big_hub_leaves; v < a.nrows(); ++v) {
+    tail_squares += vref[v];
+  }
+  ASSERT_GT(tail_squares, 0) << "no 4-cycle reaches the tail";
+  for (const std::size_t width : {1u, 4u}) {
+    ThreadPool pool(width);
+    ScopedPoolOverride guard(pool);
+    EXPECT_EQ(graph::vertex_butterflies_blocked(a), vref) << "width " << width;
+    EXPECT_EQ(graph::edge_butterflies_blocked(a), eref) << "width " << width;
+  }
+}
 
 // -------------------------------------------------------------------------
 // Ground-truth layer: the paper's mutual-validation loop (Thms 3–5 vs the

@@ -24,6 +24,7 @@
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/graph/butterflies.hpp"
 #include "kronlab/kron/ground_truth.hpp"
+#include "temp_dir.hpp"
 
 namespace kronlab::dist {
 namespace {
@@ -36,14 +37,6 @@ double fault_rate_scale() {
   if (std::string(env) == "high") return 5.0;
   const double v = std::strtod(env, nullptr);
   return v > 0 ? v : 1.0;
-}
-
-std::string fresh_ckpt_dir(const std::string& name) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("kronlab_faults_" + name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
 }
 
 /// Small retry budget so exhaustion tests finish in milliseconds.
@@ -372,7 +365,7 @@ TEST(Recovery, KillMidGenerationRestoresCheckpointAndVerifies) {
   plan.kill_hits = 2;
 
   CheckpointConfig ckpt;
-  ckpt.dir = fresh_ckpt_dir("restore");
+  ckpt.dir = testdir::fresh_temp_dir("restore");
   ckpt.interval_left_rows = 1;
 
   ReportCollector collector;
@@ -429,7 +422,7 @@ TEST(Recovery, CorruptCheckpointFallsBackToRegeneration) {
   plan.kill_hits = 2;
 
   CheckpointConfig ckpt;
-  ckpt.dir = fresh_ckpt_dir("corrupt");
+  ckpt.dir = testdir::fresh_temp_dir("corrupt");
   ckpt.interval_left_rows = 1;
 
   // Run once to produce rank 1's genuine checkpoint, flip one byte of the
@@ -493,7 +486,7 @@ TEST(Recovery, KillAndMessageFaultsCombined) {
   plan.kill_hits = 2;
 
   CheckpointConfig ckpt;
-  ckpt.dir = fresh_ckpt_dir("combined");
+  ckpt.dir = testdir::fresh_temp_dir("combined");
   ckpt.interval_left_rows = 1;
 
   ReportCollector collector;

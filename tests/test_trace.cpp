@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -26,6 +25,7 @@
 #include "kronlab/obs/trace.hpp"
 #include "kronlab/parallel/metrics.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
+#include "temp_dir.hpp"
 
 namespace kronlab::trace {
 namespace {
@@ -227,12 +227,9 @@ TEST_F(TraceTest, BinaryRoundTripIsLossless) {
   const auto before = snapshot();
   ASSERT_EQ(before.size(), 3u);
 
-  const auto path = (std::filesystem::temp_directory_path() /
-                     "kronlab_test_roundtrip.trace")
-                        .string();
+  const auto path = testdir::temp_path("roundtrip.trace");
   write_binary_file(path, before);
   const TraceFile after = read_binary_file(path);
-  std::filesystem::remove(path);
 
   EXPECT_GT(after.epoch_unix_ns, 0u);
   ASSERT_EQ(after.events.size(), before.size());
@@ -250,12 +247,10 @@ TEST_F(TraceTest, BinaryRoundTripIsLossless) {
 }
 
 TEST_F(TraceTest, CorruptBinaryFilesAreRejected) {
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto missing = (dir / "kronlab_test_missing.trace").string();
-  std::filesystem::remove(missing);
+  const auto missing = testdir::temp_path("missing.trace");
   EXPECT_THROW(read_binary_file(missing), io_error);
 
-  const auto bad = (dir / "kronlab_test_badmagic.trace").string();
+  const auto bad = testdir::temp_path("badmagic.trace");
   {
     std::FILE* f = std::fopen(bad.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -263,7 +258,6 @@ TEST_F(TraceTest, CorruptBinaryFilesAreRejected) {
     std::fclose(f);
   }
   EXPECT_THROW(read_binary_file(bad), io_error);
-  std::filesystem::remove(bad);
 }
 
 TEST_F(TraceTest, ChromeJsonCarriesEventsAndSchema) {
