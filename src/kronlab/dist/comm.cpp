@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <exception>
 #include <map>
+#include <numeric>
 #include <thread>
 
 #include "kronlab/common/error.hpp"
@@ -218,8 +219,9 @@ struct Runtime {
     auto& q = box.queues[{from, tag}];
     // Give up early when the sender is dead: nothing new can arrive, so
     // waiting out the rest of the deadline only stalls the caller's retry
-    // loop (mark_dead wakes this cv precisely so we notice promptly).
-    bool timed_out = false;
+    // loop (mark_dead wakes this cv precisely so we notice promptly).  A
+    // zero timeout is a poll and never waits on the cv.
+    bool timed_out = timeout <= std::chrono::milliseconds::zero();
     while (q.empty() && !timed_out && !rank_dead(from)) {
       timed_out = box.cv.wait_until(box.mutex, deadline);
     }
@@ -240,7 +242,7 @@ struct Runtime {
     MutexLock lock(box.mutex);
     index_t from = -1;
     std::deque<Message>* q = find_on_tag(box, tag, &from);
-    bool timed_out = false;
+    bool timed_out = timeout <= std::chrono::milliseconds::zero();
     while (q == nullptr && !timed_out) {
       timed_out = box.cv.wait_until(box.mutex, deadline);
       q = find_on_tag(box, tag, &from);
@@ -352,7 +354,6 @@ void Comm::barrier() { rt_->barrier(); }
 
 namespace {
 constexpr int kReduceTag = -1;
-constexpr int kGatherTag = -2;
 constexpr int kAlltoallTag = -3;
 constexpr int kMemberReduceTag = -4;
 constexpr int kMemberGatherTag = -5;
@@ -407,38 +408,31 @@ word_t Comm::allreduce_sum(word_t value,
 }
 
 std::vector<word_t> Comm::allgather(word_t value) {
-  if (rank_ == 0) {
-    std::vector<word_t> all(static_cast<std::size_t>(size()));
-    all[0] = value;
-    for (index_t r = 1; r < size(); ++r) {
-      all[static_cast<std::size_t>(r)] = recv(r, kGatherTag).at(0);
-    }
-    for (index_t r = 1; r < size(); ++r) {
-      send(r, kGatherTag, Message(all));
-    }
-    return all;
-  }
-  send(0, kGatherTag, {value});
-  auto msg = recv(0, kGatherTag);
-  return msg;
+  std::vector<index_t> all(static_cast<std::size_t>(size()));
+  std::iota(all.begin(), all.end(), index_t{0});
+  return allgather(std::vector<word_t>{value}, all);
 }
 
 std::vector<word_t> Comm::allgather(word_t value,
                                     const std::vector<index_t>& members) {
+  return allgather(std::vector<word_t>{value}, members);
+}
+
+std::vector<word_t> Comm::allgather(std::vector<word_t> values,
+                                    const std::vector<index_t>& members) {
   require_membership(*this, members);
   const index_t root = members.front();
   if (rank_ == root) {
-    std::vector<word_t> all(members.size());
-    all[0] = value;
     for (std::size_t i = 1; i < members.size(); ++i) {
-      all[i] = recv(members[i], kMemberGatherTag).at(0);
+      const Message part = recv(members[i], kMemberGatherTag);
+      values.insert(values.end(), part.begin(), part.end());
     }
     for (std::size_t i = 1; i < members.size(); ++i) {
-      send(members[i], kMemberGatherTag, Message(all));
+      send(members[i], kMemberGatherTag, Message(values));
     }
-    return all;
+    return values;
   }
-  send(root, kMemberGatherTag, {value});
+  send(root, kMemberGatherTag, std::move(values));
   return recv(root, kMemberGatherTag);
 }
 

@@ -112,7 +112,9 @@ public:
   /// retry that follows).  Returns nullopt *early* — without waiting out
   /// the deadline — once the sender is dead and no message is pending:
   /// nothing new can ever arrive, so retry loops fail over promptly
-  /// instead of burning their full timeout budget per attempt.
+  /// instead of burning their full timeout budget per attempt.  A timeout
+  /// <= 0 is a poll: it never waits, yet on an empty queue it still
+  /// counts as expiry and releases the parked messages.
   [[nodiscard]] std::optional<Message> recv_deadline(index_t from, int tag,
                                        std::chrono::milliseconds timeout);
 
@@ -152,6 +154,12 @@ public:
   /// Member-collective allgather (result aligned with `members`).
   [[nodiscard]] std::vector<word_t> allgather(word_t value,
                                 const std::vector<index_t>& members);
+
+  /// Vector member-collective allgather: every member contributes any
+  /// number of values; every member gets them all, concatenated in
+  /// member order.  The scalar forms above are wrappers of this one.
+  [[nodiscard]] std::vector<word_t> allgather(
+      std::vector<word_t> values, const std::vector<index_t>& members);
 
   /// All-to-all exchange: element [r] of `outgoing` goes to rank r; the
   /// result holds what every rank sent here.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -69,6 +70,7 @@ constexpr word_t kMsgAck = 2;  ///< [epoch, ACK] (peer-level, per epoch)
 /// until every live peer has announced DONE.
 constexpr int kExchCtlTag = -6;
 constexpr word_t kMsgDone = 3; ///< [epoch, DONE]
+constexpr milliseconds kLingerSlice{1}; ///< wait cap while awaiting DONE
 
 /// Stored entries C owns for left-factor rows [lo, hi): the factor-space
 /// expectation Σ_{i∈[lo,hi)} deg_M(i) · nnz(B) used by self-verification.
@@ -104,6 +106,31 @@ std::size_t owner_pos(const std::vector<word_t>& row_begins, index_t v) {
     }
   }
   return lo;
+}
+
+/// prio[v] = v's position in the priority order p(v) = (deg(v), v) over
+/// all n vertices.  One member gather of every shard's row degrees gives
+/// each member all of them, in row order once the layout is validated;
+/// a stable counting sort by degree keeps ties in id order.
+std::vector<index_t> degree_priority(Comm& comm, const Shard& shard,
+                                     const std::vector<index_t>& members) {
+  std::vector<word_t> deg(static_cast<std::size_t>(shard.rows.nrows()));
+  for (index_t lv = 0; lv < shard.rows.nrows(); ++lv) {
+    deg[static_cast<std::size_t>(lv)] = shard.rows.row_degree(lv);
+  }
+  deg = comm.allgather(std::move(deg), members);
+  KRONLAB_REQUIRE(deg.size() == static_cast<std::size_t>(shard.n),
+                  "gathered degrees do not cover the row space");
+  const word_t max_deg =
+      deg.empty() ? 0 : *std::max_element(deg.begin(), deg.end());
+  std::vector<index_t> next(static_cast<std::size_t>(max_deg) + 2, 0);
+  for (const word_t d : deg) ++next[static_cast<std::size_t>(d) + 1];
+  std::partial_sum(next.begin(), next.end(), next.begin());
+  std::vector<index_t> prio(deg.size());
+  for (std::size_t v = 0; v < deg.size(); ++v) {
+    prio[v] = next[static_cast<std::size_t>(deg[v])]++;
+  }
+  return prio;
 }
 
 /// Timeline annotation for a protocol event: this rank, the peer, the
@@ -148,6 +175,7 @@ struct PeerState {
   bool have_reply = false;
   bool got_rows = false;
   std::unordered_set<index_t> pending; // rows still missing from this peer
+  std::size_t pending_at_post = 0;     // pending.size() at the last REQ wave
   int req_attempts = 0;
   milliseconds req_timeout{0};
   clock::time_point req_deadline;
@@ -213,6 +241,7 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
   // from gets the empty handshake so the REQ/ROWS/ACK round (and with it
   // quiescence accounting) stays uniform across all peer pairs.
   const auto post_requests = [&](PeerState& ps) {
+    ps.pending_at_post = ps.pending.size();
     if (ps.pending.empty()) {
       agg.enqueue(ps.rank, {epoch, kMsgReq});
     } else {
@@ -397,7 +426,15 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
       if (ps.served && !ps.acked) next = std::min(next, ps.ack_deadline);
     }
     if (const auto due = agg.next_deadline()) next = std::min(next, *due);
-    const auto wait = std::chrono::duration_cast<milliseconds>(
+    // Once quiescent, what the loop still waits for is DONE frames, and
+    // they land on the control tag, which does not wake a receive on the
+    // data tag: linger in 1 ms slices, serving stragglers in between.
+    if (awaiting_replies == 0 && awaiting_acks == 0) {
+      next = std::min(next, now + kLingerSlice);
+    }
+    // Rounded up: a zero-timeout receive returns at once, so a wait
+    // truncated to 0 ms would spin until the deadline instead of sleeping.
+    const auto wait = std::chrono::ceil<milliseconds>(
         std::max(next - clock::now(), clock::duration::zero()));
     if (auto got = agg.recv_frames(wait)) {
       handle_wire(got->first, std::move(got->second));
@@ -416,6 +453,9 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
         }
         stats.backoff_seconds +=
             static_cast<double>(ps.req_timeout.count()) / 1e3;
+        // A peer whose rows are still landing is answering: the budget
+        // counts consecutive request waves that brought no new row.
+        if (ps.pending.size() < ps.pending_at_post) ps.req_attempts = 0;
         if (++ps.req_attempts > cfg.max_retries) {
           throw timeout_error(
               "ghost-row request to live rank " + std::to_string(ps.rank) +
@@ -542,24 +582,36 @@ count_t distributed_global_butterflies(Comm& comm, const Shard& shard,
                     "live shards do not cover the row space contiguously");
   }
 
+  // Vertex priority (Chiba–Nishizeki; Wang et al.): each 4-cycle is
+  // counted once, at its highest-priority vertex v, from wedges v–j–k
+  // whose centre j and end k both rank below v.
+  const auto prio = degree_priority(comm, shard, members);
+  const auto below = [&](index_t u, index_t pv) {
+    return prio[static_cast<std::size_t>(u)] < pv;
+  };
+
   // A fault plan can kill a rank here — after membership agreement, right
   // before it starts serving ghost rows — to exercise the rank_failed
   // path: survivors retry, see the death, and surface the typed error.
   comm.fault_point("exchange-serve");
 
-  // ---- phase 1: figure out which remote rows this rank needs ----------
-  // Wedge counting of owned v walks rows of every neighbor j of v.
-  std::vector<std::unordered_set<index_t>> needed_sets(mcount);
-  for (index_t lv = 0; lv < shard.rows.nrows(); ++lv) {
-    for (const index_t j : shard.rows.row_cols(lv)) {
-      if (!shard.owns(j)) {
-        needed_sets[owner_pos(row_begins, j)].insert(j);
+  // ---- phase 1: the remote rows the kernel reads ----------------------
+  // Owned v walks row j only when p(j) < p(v).
+  std::vector<std::vector<index_t>> needed(mcount);
+  {
+    KRONLAB_TRACE_SPAN("dist", "needed_rows");
+    std::vector<bool> requested(static_cast<std::size_t>(shard.n), false);
+    for (index_t lv = 0; lv < shard.rows.nrows(); ++lv) {
+      const index_t pv = prio[static_cast<std::size_t>(shard.row_begin + lv)];
+      for (const index_t j : shard.rows.row_cols(lv)) {
+        if (shard.owns(j) || !below(j, pv) ||
+            requested[static_cast<std::size_t>(j)]) {
+          continue;
+        }
+        requested[static_cast<std::size_t>(j)] = true;
+        needed[owner_pos(row_begins, j)].push_back(j);
       }
     }
-  }
-  std::vector<std::vector<index_t>> needed(mcount);
-  for (std::size_t i = 0; i < mcount; ++i) {
-    needed[i].assign(needed_sets[i].begin(), needed_sets[i].end());
   }
 
   // ---- phase 2: fault-tolerant ghost-row exchange ---------------------
@@ -590,11 +642,12 @@ count_t distributed_global_butterflies(Comm& comm, const Shard& shard,
   std::vector<index_t> touched;
   count_t local_sum = 0;
   for (index_t lv = 0; lv < shard.rows.nrows(); ++lv) {
-    const index_t v = shard.row_begin + lv;
+    const index_t pv = prio[static_cast<std::size_t>(shard.row_begin + lv)];
     touched.clear();
     for (const index_t j : shard.rows.row_cols(lv)) {
+      if (!below(j, pv)) continue;
       for (const index_t k : row_of(j)) {
-        if (k == v) continue;
+        if (!below(k, pv)) continue; // also drops k == v
         if (cnt[static_cast<std::size_t>(k)] == 0) touched.push_back(k);
         ++cnt[static_cast<std::size_t>(k)];
       }
@@ -606,8 +659,9 @@ count_t distributed_global_butterflies(Comm& comm, const Shard& shard,
     }
   }
 
-  // Σ_v s_v = 4 · #C4.
-  return comm.allreduce_sum(local_sum, members) / 4;
+  // Each 4-cycle v–j–k–j' is one pair {j, j'} at (v, k) for its top
+  // vertex v, so the sum is #C4 itself.
+  return comm.allreduce_sum(local_sum, members);
 }
 
 namespace {

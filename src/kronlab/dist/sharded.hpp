@@ -62,7 +62,7 @@ struct Shard {
 /// Retry/backoff policy for the fault-tolerant exchange protocol.
 struct RetryConfig {
   std::chrono::milliseconds timeout{50}; ///< first-attempt deadline
-  int max_retries = 8;                   ///< resends before giving up
+  int max_retries = 8; ///< consecutive fruitless resends before giving up
   double backoff = 2.0;                  ///< deadline multiplier per retry
   std::chrono::milliseconds max_backoff{400}; ///< deadline cap
 };
@@ -125,6 +125,10 @@ Shard generate_shard_checkpointed(Comm& comm,
                                   count_t* checkpoints_written = nullptr);
 
 /// Distributed exact global 4-cycle count over a row-sharded graph.
+/// Counting uses the vertex priority p(v) = (degree, id): one reliable
+/// member gather gives every rank all n degrees, a rank fetches remote
+/// row j only when p(j) < p(v) for an owned neighbour v, and each 4-cycle
+/// is counted once, at its highest-priority vertex.
 /// The ghost-row exchange runs the idempotent request/reply/ack protocol
 /// with bounded retry + exponential backoff over the *live* ranks; the
 /// shards of the live ranks must cover [0, n) disjointly, contiguously,

@@ -147,19 +147,60 @@ TEST(Comm, DeadlineExpiryReleasesDelayedMessages) {
   plan.delay = 1.0;
   plan.delay_deliveries = 1000; // parked until a deadline flushes it
   run(2, plan, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.send(1, 3, {42});
-      comm.barrier();
-    } else {
-      comm.barrier();
-      // The message is parked as "delayed"; the deadline expiring models
-      // the late packet finally arriving, so this receive still succeeds.
-      const auto got =
-          comm.recv_deadline(0, 3, std::chrono::milliseconds(10));
-      ASSERT_TRUE(got.has_value());
-      EXPECT_EQ(*got, (Message{42}));
-      EXPECT_EQ(comm.fault_stats().delayed, 1);
+    // A 0 ms timeout is a poll that never waits, yet it still counts as
+    // an expired deadline and releases the parked message.
+    for (const int ms : {10, 0}) {
+      if (comm.rank() == 0) {
+        comm.send(1, 3, {42});
+        comm.send(1, 4, {43});
+        comm.barrier();
+      } else {
+        comm.barrier();
+        // The messages are parked as "delayed"; the deadline expiring
+        // models the late packets finally arriving, so these receives
+        // still succeed.
+        // (EXPECT, not ASSERT: an early return would strand rank 0 at
+        // the barrier below.)
+        const auto got =
+            comm.recv_deadline(0, 3, std::chrono::milliseconds(ms));
+        EXPECT_EQ(got.value_or(Message{}), (Message{42})) << ms << " ms";
+        const auto any = comm.recv_any(4, std::chrono::milliseconds(ms));
+        EXPECT_EQ(any.value_or(std::pair<index_t, Message>{}).second,
+                  (Message{43}))
+            << ms << " ms";
+      }
+      comm.barrier(); // keep each round's messages apart
     }
+    EXPECT_EQ(comm.fault_stats().delayed, 4);
+  });
+}
+
+TEST(Comm, ZeroTimeoutReceivesPollWithoutBlocking) {
+  run(2, [](Comm& comm) {
+    constexpr auto kPoll = std::chrono::milliseconds(0);
+    if (comm.rank() == 0) {
+      comm.send(1, 3, {7});
+      comm.send(1, 5, {8});
+      comm.barrier();
+      comm.barrier();
+      return;
+    }
+    comm.barrier(); // both messages are queued
+    EXPECT_EQ(comm.recv_deadline(0, 3, kPoll).value_or(Message{}),
+              (Message{7}));
+    const auto any = comm.recv_any(5, kPoll);
+    EXPECT_EQ(any.value_or(std::pair<index_t, Message>{-1, {}}),
+              (std::pair<index_t, Message>{0, {8}}));
+    // Empty mailbox, live sender: nullopt at once.  The bound is loose
+    // for loaded machines; what matters is that no poll waits.
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < 1000; ++i) {
+      EXPECT_FALSE(comm.recv_deadline(0, 3, kPoll).has_value());
+      EXPECT_FALSE(comm.recv_any(5, kPoll).has_value());
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(1));
+    comm.barrier(); // the sender stays alive until the polls are done
   });
 }
 
