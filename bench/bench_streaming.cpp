@@ -15,10 +15,13 @@
 //   verify_store      full offline re-validation (read every segment,
 //                     replay through the oracle validator).
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "harness/harness.hpp"
 #include "kronlab/common/timer.hpp"
@@ -32,10 +35,30 @@ using namespace kronlab;
 
 namespace {
 
-/// Wipe and recreate the bench's store directory.
+/// This process's scratch root, named with the pid so concurrent runs
+/// never share a tree, and removed with everything under it at exit
+/// (the tests/temp_dir.hpp scheme).
+const std::filesystem::path& bench_root() {
+  struct Root {
+    std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("kronlab_bench_streaming_" + std::to_string(::getpid()));
+    Root() {
+      std::filesystem::remove_all(path);
+      std::filesystem::create_directories(path);
+    }
+    ~Root() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static const Root root;
+  return root.path;
+}
+
+/// Wipe and recreate one store directory under the bench's root.
 std::string fresh_dir(const std::string& name) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / ("kronlab_bench_" + name);
+  const auto dir = bench_root() / name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();

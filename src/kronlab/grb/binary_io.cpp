@@ -18,20 +18,6 @@ namespace {
 const char* io_detail(const std::string& path) {
   return trace::enabled() ? trace::intern(path) : nullptr;
 }
-} // namespace
-
-std::uint64_t fnv1a64(const void* data, std::size_t nbytes,
-                      std::uint64_t basis) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = basis;
-  for (std::size_t i = 0; i < nbytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-namespace {
 
 // One definition per magic lives in common/registry.hpp (the analyzer's
 // registry rule keeps it that way); these are local aliases.

@@ -39,8 +39,19 @@
 namespace kronlab::grb {
 
 /// 64-bit FNV-1a over a byte range (the checksum used by both envelopes).
-[[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t nbytes,
-                      std::uint64_t basis = 0xcbf29ce484222325ULL);
+/// Inline so a fixed-size call (the stream validator hashes one word per
+/// edge) unrolls at the call site.
+[[nodiscard]] inline std::uint64_t fnv1a64(
+    const void* data, std::size_t nbytes,
+    std::uint64_t basis = 0xcbf29ce484222325ULL) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t h = basis;
+  for (std::size_t i = 0; i < nbytes; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 /// Read-side policy knobs.
 struct ReadOptions {

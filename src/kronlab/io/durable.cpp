@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "kronlab/common/registry.hpp"
 #include "kronlab/obs/log.hpp"
@@ -92,75 +93,129 @@ count_t Manifest::total_edges() const {
 
 std::uint64_t write_segment(
     FileOps& ops, const std::string& dir, const SegmentHeader& header,
-    const std::vector<std::pair<index_t, index_t>>& edges) {
+    const std::vector<std::pair<index_t, index_t>>& edges,
+    std::uint64_t& chain) {
   KRONLAB_TRACE_SPAN("io", "seal_segment");
   KRONLAB_REQUIRE(header.num_edges ==
                       static_cast<count_t>(edges.size()),
                   "segment header/payload edge count mismatch");
-  std::string bytes(kSegMagic, sizeof kSegMagic);
+  const std::size_t payload_bytes = edges.size() * kSegmentRecordBytes;
+  std::string bytes(kSegmentHeaderBytes + payload_bytes +
+                        sizeof(std::int64_t),
+                    '\0');
+  char* out = bytes.data();
+  std::memcpy(out, kSegMagic, sizeof kSegMagic);
   const std::int64_t head[5] = {
       static_cast<std::int64_t>(header.spec_hash), header.shard,
       header.seg_index, header.first_edge, header.num_edges};
-  append_words(bytes, head, 5);
-  const std::size_t payload_at = bytes.size();
+  std::memcpy(out + sizeof kSegMagic, head, sizeof head);
+  char* rec = out + kSegmentHeaderBytes;
   for (const auto& [p, q] : edges) {
-    const std::int64_t rec[2] = {p, q};
-    append_words(bytes, rec, 2);
+    std::memcpy(rec, &p, sizeof p);
+    std::memcpy(rec + sizeof p, &q, sizeof q);
+    rec += kSegmentRecordBytes;
   }
-  const std::uint64_t payload_hash =
-      fnv1a64_words(bytes.data() + payload_at, bytes.size() - payload_at);
-  const std::uint64_t full_hash = fnv1a64_words(
-      bytes.data() + sizeof kSegMagic, bytes.size() - sizeof kSegMagic);
-  const auto trailer = static_cast<std::int64_t>(full_hash);
-  append_words(bytes, &trailer, 1);
+  const SegmentFolds folds = fold_segment_payload(
+      out + kSegmentHeaderBytes, payload_bytes,
+      {kFnvBasis, fnv1a64_words(head, sizeof head), chain});
+  std::memcpy(rec, &folds.trailer, sizeof folds.trailer);
   write_sealed(ops, dir, segment_name(header.shard, header.seg_index),
                bytes);
-  return payload_hash;
+  chain = folds.chain; // only now: a failed seal leaves the chain as is
+  return folds.payload;
 }
 
-SegmentData read_segment(FileOps& ops, const std::string& path) {
+CheckedSegment check_segment(FileOps& ops, const std::string& path,
+                             std::uint64_t chain) {
   KRONLAB_TRACE_SPAN("io", "read_segment");
-  const auto bytes = ops.read_file(path);
+  auto bytes = ops.read_file(path);
   if (!bytes) throw io_error("durable store: missing segment " + path);
-  if (bytes->size() < sizeof kSegMagic ||
+  if (bytes->size() < kSegmentHeaderBytes ||
       std::memcmp(bytes->data(), kSegMagic, sizeof kSegMagic) != 0) {
     throw validation_error("durable store: " + path +
-                           " is not a KRNLSEG1 segment (bad magic)");
+                           " is not a KRNLSEG1 segment (bad magic or "
+                           "truncated header)");
   }
-  WordReader r{*bytes, sizeof kSegMagic, path};
-  SegmentData seg;
-  seg.header.spec_hash = static_cast<std::uint64_t>(r.next("spec hash"));
-  seg.header.shard = r.next("shard");
-  seg.header.seg_index = r.next("segment index");
-  seg.header.first_edge = r.next("first edge");
-  seg.header.num_edges = r.next("edge count");
+  std::int64_t head[5];
+  std::memcpy(head, bytes->data() + sizeof kSegMagic, sizeof head);
+  CheckedSegment seg;
+  seg.header.spec_hash = static_cast<std::uint64_t>(head[0]);
+  seg.header.shard = head[1];
+  seg.header.seg_index = head[2];
+  seg.header.first_edge = head[3];
+  seg.header.num_edges = head[4];
   if (seg.header.shard < 0 || seg.header.seg_index < 0 ||
       seg.header.first_edge < 0 || seg.header.num_edges < 0 ||
       seg.header.num_edges > kMaxPlausible) {
     throw validation_error("durable store: " + path +
                            " has an implausible header (corrupt)");
   }
-  const std::size_t payload_at = r.pos;
-  seg.edges.reserve(static_cast<std::size_t>(seg.header.num_edges));
-  for (count_t e = 0; e < seg.header.num_edges; ++e) {
-    const index_t p = r.next("edge record");
-    const index_t q = r.next("edge record");
-    seg.edges.emplace_back(p, q);
+  // The record count must match the bytes actually present before any
+  // size derived from it is trusted (2^40 records cannot overflow this).
+  const auto payload_bytes =
+      static_cast<std::size_t>(seg.header.num_edges) * kSegmentRecordBytes;
+  const std::size_t whole =
+      kSegmentHeaderBytes + payload_bytes + sizeof(std::int64_t);
+  if (bytes->size() != whole) {
+    throw validation_error(
+        "durable store: " + path + " is torn or padded: its header claims " +
+        std::to_string(seg.header.num_edges) + " records but it holds " +
+        std::to_string(bytes->size()) + " bytes");
   }
-  seg.payload_hash = fnv1a64_words(bytes->data() + payload_at, r.pos - payload_at);
-  const auto stored = static_cast<std::uint64_t>(r.next("checksum"));
-  const std::uint64_t computed = fnv1a64_words(
-      bytes->data() + sizeof kSegMagic, r.pos - sizeof(std::int64_t) -
-                                            sizeof kSegMagic);
-  if (stored != computed) {
+  const SegmentFolds folds = fold_segment_payload(
+      bytes->data() + kSegmentHeaderBytes, payload_bytes,
+      {kFnvBasis, fnv1a64_words(head, sizeof head), chain});
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, bytes->data() + whole - sizeof stored, sizeof stored);
+  if (stored != folds.trailer) {
     throw validation_error("durable store: " + path +
                            " fails its FNV-1a checksum (corrupt segment)");
   }
-  if (r.pos != bytes->size()) {
-    throw validation_error("durable store: " + path +
-                           " has trailing garbage past the checksum");
-  }
+  seg.payload_hash = folds.payload;
+  seg.chain = folds.chain;
+  seg.bytes = std::move(*bytes);
   return seg;
+}
+
+SegmentData read_segment(FileOps& ops, const std::string& path) {
+  const CheckedSegment checked = check_segment(ops, path);
+  SegmentData seg;
+  seg.header = checked.header;
+  seg.payload_hash = checked.payload_hash;
+  seg.edges.reserve(static_cast<std::size_t>(checked.header.num_edges));
+  checked.for_each_edge(
+      [&](index_t p, index_t q) { seg.edges.emplace_back(p, q); });
+  return seg;
+}
+
+void check_committed(
+    FileOps& ops, const std::string& dir, std::uint64_t spec,
+    index_t shard, const ShardProgress& prog,
+    const std::function<void(const CheckedSegment&)>& visit) {
+  static obs::Histogram& validate_hist =
+      obs::histogram("io/segment_validate");
+  std::uint64_t chain = kFnvBasis;
+  count_t edges = 0;
+  for (count_t g = 0; g < prog.segments; ++g) {
+    obs::LatencyScope validate_latency(validate_hist);
+    const std::string path = dir + "/" + segment_name(shard, g);
+    const CheckedSegment seg = check_segment(ops, path, chain);
+    if (seg.header.spec_hash != spec || seg.header.shard != shard ||
+        seg.header.seg_index != g || seg.header.first_edge != edges) {
+      throw validation_error("durable store: " + path +
+                             " disagrees with the manifest's committed "
+                             "range (corrupt store)");
+    }
+    chain = seg.chain;
+    edges += seg.header.num_edges;
+    if (visit) visit(seg);
+  }
+  if (edges != prog.edges || chain != prog.chain_hash) {
+    throw validation_error(
+        "durable store: shard " + std::to_string(shard) +
+        " committed segments do not reproduce the manifest's cursor/"
+        "chain hash (corrupt store)");
+  }
 }
 
 void write_manifest(FileOps& ops, const std::string& dir,
@@ -292,34 +347,8 @@ ScanResult scan_store(FileOps& ops, const std::string& dir,
     auto& prog = res.manifest.shards[static_cast<std::size_t>(s)];
     // 1. Every committed segment must verify and chain-hash to the
     //    manifest record.
-    std::uint64_t chain = kFnvBasis;
-    count_t edges = 0;
-    for (count_t g = 0; g < prog.segments; ++g) {
-      static obs::Histogram& validate_hist =
-          obs::histogram("io/segment_validate");
-      obs::LatencyScope validate_latency(validate_hist);
-      const std::string path = dir + "/" + segment_name(s, g);
-      const SegmentData seg = read_segment(ops, path);
-      if (seg.header.spec_hash != expected.spec_hash ||
-          seg.header.shard != s || seg.header.seg_index != g ||
-          seg.header.first_edge != edges) {
-        throw validation_error("durable store: " + path +
-                               " disagrees with the manifest's committed "
-                               "range (corrupt store)");
-      }
-      for (const auto& [p, q] : seg.edges) {
-        const std::int64_t rec[2] = {p, q};
-        chain = fnv1a64_words(rec, sizeof rec, chain);
-      }
-      edges += seg.header.num_edges;
-      ++res.verified_segments;
-    }
-    if (edges != prog.edges || chain != prog.chain_hash) {
-      throw validation_error(
-          "durable store: shard " + std::to_string(s) +
-          " committed segments do not reproduce the manifest's cursor/"
-          "chain hash (corrupt store)");
-    }
+    check_committed(ops, dir, expected.spec_hash, s, prog);
+    res.verified_segments += prog.segments;
     // 2. Adopt the crash window: the exact next sealed segment, if whole.
     for (;;) {
       const std::string next_name = segment_name(s, prog.segments);
@@ -328,18 +357,15 @@ ScanResult scan_store(FileOps& ops, const std::string& dir,
         break;
       }
       const std::string path = dir + "/" + next_name;
-      bool ok = true;
-      SegmentData seg;
+      std::optional<CheckedSegment> seg;
       try {
-        seg = read_segment(ops, path);
+        seg = check_segment(ops, path, prog.chain_hash);
       } catch (const error&) {
-        ok = false; // torn or corrupt — regenerate it instead
+        // torn or corrupt — regenerate it instead
       }
-      ok = ok && seg.header.spec_hash == expected.spec_hash &&
-           seg.header.shard == s &&
-           seg.header.seg_index == prog.segments &&
-           seg.header.first_edge == prog.edges;
-      if (!ok) {
+      if (!seg || seg->header.spec_hash != expected.spec_hash ||
+          seg->header.shard != s || seg->header.seg_index != prog.segments ||
+          seg->header.first_edge != prog.edges) {
         // The crash window's next segment is torn, corrupt, or from a
         // different spec: drop it and let generation redo the range.
         obs::log(obs::LogLevel::warn, "io", "scan_reject_next_segment")
@@ -349,11 +375,8 @@ ScanResult scan_store(FileOps& ops, const std::string& dir,
         ++res.discarded_files;
         break;
       }
-      for (const auto& [p, q] : seg.edges) {
-        const std::int64_t rec[2] = {p, q};
-        prog.chain_hash = fnv1a64_words(rec, sizeof rec, prog.chain_hash);
-      }
-      prog.edges += seg.header.num_edges;
+      prog.chain_hash = seg->chain;
+      prog.edges += seg->header.num_edges;
       prog.segments += 1;
       ++res.adopted_segments;
       adopted_any = true;

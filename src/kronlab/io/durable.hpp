@@ -17,6 +17,12 @@
 // detected on read.  `first_edge` is the edge ordinal within the shard's
 // deterministic stream — segments of one shard tile [0, edges) exactly.
 //
+// Each segment's bytes pass through the CPU once per use: sealing folds
+// the payload hash, the trailer and the shard's chain in one loop
+// (fold_segment_payload), and every read checks magic, header, length,
+// trailer and chain straight from the bytes (check_segment) without
+// decoding a record.
+//
 // Commit protocol (all through io/file_ops.hpp):
 //
 //   1. the segment is written to `<final>.tmp`, fsync'd, and sealed by an
@@ -41,8 +47,9 @@
 //   * the manifest, if present, must parse, checksum, and match the
 //     spec hash / shard count / segment size of the resuming run;
 //   * every committed segment must exist, checksum, and chain-hash to
-//     the manifest's record — anything else is a validation_error (the
-//     store is corrupt, not merely behind);
+//     the manifest's record (check_committed, the loop verify_store
+//     shares) — anything else is a validation_error (the store is
+//     corrupt, not merely behind);
 //   * a sealed segment PAST the committed range is adopted iff it is the
 //     exact next segment (index, first_edge, spec hash, checksum all
 //     match) — the crash-between-seal-and-manifest-commit window;
@@ -53,6 +60,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,6 +72,7 @@ namespace kronlab::io {
 
 /// FNV-1a offset basis — chain hashes start here.
 inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
 /// Word-folded FNV-1a: one xor-multiply per little-endian int64 word
 /// instead of per byte.  Every durable-store checksum and chain hash
@@ -81,10 +90,41 @@ inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
   for (std::size_t i = 0; i + 8 <= nbytes; i += 8) {
     std::uint64_t w;
     std::memcpy(&w, p + i, 8);
-    h = (h ^ w) * 0x100000001b3ULL;
+    h = (h ^ w) * kFnvPrime;
   }
   return h;
 }
+
+/// The three FNV-1a folds a segment payload feeds: the payload hash
+/// (started from the basis), the segment trailer (started from the fold
+/// of the header words — FNV-1a is sequential, so that is the fold of
+/// header..payload) and the shard's chain (started from the chain so
+/// far).  fold_segment_payload runs them as three independent multiply
+/// chains over one read of the words.
+struct SegmentFolds {
+  std::uint64_t payload = kFnvBasis;
+  std::uint64_t trailer = kFnvBasis;
+  std::uint64_t chain = kFnvBasis;
+};
+
+[[nodiscard]] inline SegmentFolds fold_segment_payload(const void* data,
+                                                       std::size_t nbytes,
+                                                       SegmentFolds f) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i + 8 <= nbytes; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, 8);
+    f.payload = (f.payload ^ w) * kFnvPrime;
+    f.trailer = (f.trailer ^ w) * kFnvPrime;
+    f.chain = (f.chain ^ w) * kFnvPrime;
+  }
+  return f;
+}
+
+/// Byte layout of a KRNLSEG1 file: magic + 5 header words, 16-byte
+/// records, one trailer word.
+inline constexpr std::size_t kSegmentHeaderBytes = 8 + 5 * 8;
+inline constexpr std::size_t kSegmentRecordBytes = 16;
 
 struct SegmentHeader {
   std::uint64_t spec_hash = 0;
@@ -102,20 +142,52 @@ struct SegmentData {
   std::uint64_t payload_hash = kFnvBasis;
 };
 
+/// One segment file whose bytes passed every check — magic, plausible
+/// header, exact length, trailer — and were left undecoded.  `chain` is
+/// the chain handed to check_segment, folded on over this payload.
+struct CheckedSegment {
+  SegmentHeader header;
+  std::string bytes; ///< the whole file
+  std::uint64_t payload_hash = kFnvBasis;
+  std::uint64_t chain = kFnvBasis;
+
+  /// f(p, q) for every record, in stream order, straight from `bytes`.
+  template <class F>
+  void for_each_edge(F&& f) const {
+    const char* rec = bytes.data() + kSegmentHeaderBytes;
+    for (count_t e = 0; e < header.num_edges;
+         ++e, rec += kSegmentRecordBytes) {
+      std::int64_t pq[2];
+      std::memcpy(pq, rec, sizeof pq);
+      f(pq[0], pq[1]);
+    }
+  }
+};
+
 /// Final name of shard `shard`'s segment `seg_index` inside the store
 /// directory ("shard-0003-seg-000042.krnlseg").
 [[nodiscard]] std::string segment_name(index_t shard, count_t seg_index);
 
 /// Write + seal one segment (write-temp → fsync → atomic rename).
-/// Returns the payload FNV-1a.  Throws io_error on any failed step; the
-/// final name is never visible unless every byte is on disk.
+/// Returns the payload FNV-1a and, once the seal has committed, folds
+/// the payload into `chain`; a throw (or a simulated kill) leaves
+/// `chain` untouched.  Throws io_error on any failed step; the final
+/// name is never visible unless every byte is on disk.
 [[nodiscard]] std::uint64_t write_segment(
     FileOps& ops, const std::string& dir, const SegmentHeader& header,
-    const std::vector<std::pair<index_t, index_t>>& edges);
+    const std::vector<std::pair<index_t, index_t>>& edges,
+    std::uint64_t& chain);
 
-/// Read + verify one segment file; throws io_error when the file is
-/// missing/unreadable and validation_error when it is torn or fails its
-/// checksum.
+/// Read one segment file and check its bytes without decoding them,
+/// folding its payload onto `chain`.  Throws io_error when the file is
+/// missing/unreadable and validation_error when it is torn, oversized
+/// or fails its checksum — the record count is checked against the
+/// file's length before anything is allocated for it.
+[[nodiscard]] CheckedSegment check_segment(FileOps& ops,
+                                           const std::string& path,
+                                           std::uint64_t chain = kFnvBasis);
+
+/// check_segment plus a decode of the records.
 [[nodiscard]] SegmentData read_segment(FileOps& ops,
                                        const std::string& path);
 
@@ -142,6 +214,19 @@ void write_manifest(FileOps& ops, const std::string& dir,
 /// validation_error when present but unreadable / corrupt.
 [[nodiscard]] std::optional<Manifest> read_manifest(FileOps& ops,
                                                     const std::string& dir);
+
+/// The integrity loop over shard `shard`'s committed segments
+/// 0..prog.segments-1, shared by scan_store and verify_store: each must
+/// pass check_segment, carry `spec` and its own shard and index, and
+/// start where the previous one ended; together they must end at
+/// prog.edges with prog.chain_hash.  `visit`, when set, sees each segment
+/// right after its own checks pass.  Reads each segment once and writes
+/// nothing.  Throws validation_error on any disagreement and io_error on
+/// a missing segment.
+void check_committed(
+    FileOps& ops, const std::string& dir, std::uint64_t spec,
+    index_t shard, const ShardProgress& prog,
+    const std::function<void(const CheckedSegment&)>& visit = {});
 
 /// Outcome of a resume scan.
 struct ScanResult {

@@ -54,11 +54,8 @@ private:
     h.seg_index = prog.segments;
     h.first_edge = prog.edges;
     h.num_edges = static_cast<count_t>(buf_.size());
-    const std::uint64_t payload_hash = write_segment(ops_, dir_, h, buf_);
-    for (const auto& [p, q] : buf_) {
-      const std::int64_t rec[2] = {p, q};
-      prog.chain_hash = fnv1a64_words(rec, sizeof rec, prog.chain_hash);
-    }
+    const std::uint64_t payload_hash =
+        write_segment(ops_, dir_, h, buf_, prog.chain_hash);
     prog.segments += 1;
     prog.edges += h.num_edges;
     buf_.clear();
@@ -102,12 +99,6 @@ StreamValidator::StreamValidator(const kron::GroundTruthOracle& oracle,
   KRONLAB_REQUIRE(rate_ >= 1, "sample rate must be >= 1");
 }
 
-bool StreamValidator::sampled(std::uint64_t x) const {
-  if (rate_ == 1) return true;
-  x ^= seed_;
-  return fnv1a64(&x, sizeof x) % rate_ == 0;
-}
-
 void StreamValidator::begin_shard(bool first_row_partial) {
   row_ = -1;
   row_edges_ = 0;
@@ -130,31 +121,27 @@ void StreamValidator::close_row() {
   ++rows_checked_;
 }
 
-void StreamValidator::observe(index_t p, index_t q) {
-  if (p != row_) {
-    close_row();
-    if (row_ >= 0 && p < row_) {
-      throw validation_error(
-          "stream validation: rows out of order (" + std::to_string(p) +
-          " after " + std::to_string(row_) + ") — stream is not row-major");
-    }
-    row_ = p;
-    row_edges_ = 0;
-    row_partial_ = next_row_partial_;
-    next_row_partial_ = false;
+void StreamValidator::start_row(index_t p) {
+  close_row();
+  if (row_ >= 0 && p < row_) {
+    throw validation_error(
+        "stream validation: rows out of order (" + std::to_string(p) +
+        " after " + std::to_string(row_) + ") — stream is not row-major");
   }
-  ++row_edges_;
-  const auto key = static_cast<std::uint64_t>(p) * 0x9e3779b97f4a7c15ULL ^
-                   static_cast<std::uint64_t>(q);
-  if (sampled(key)) {
-    if (!oracle_->try_edge(p, q)) {
-      throw validation_error(
-          "stream validation: (" + std::to_string(p) + ", " +
-          std::to_string(q) +
-          ") is not an edge of the product — generated stream has drifted");
-    }
-    ++edges_checked_;
+  row_ = p;
+  row_edges_ = 0;
+  row_partial_ = next_row_partial_;
+  next_row_partial_ = false;
+}
+
+void StreamValidator::probe_edge(index_t p, index_t q) {
+  if (!oracle_->try_edge(p, q)) {
+    throw validation_error(
+        "stream validation: (" + std::to_string(p) + ", " +
+        std::to_string(q) +
+        ") is not an edge of the product — generated stream has drifted");
   }
+  ++edges_checked_;
 }
 
 void StreamValidator::end_shard() {
@@ -246,37 +233,38 @@ VerifyReport verify_store(FileOps& ops,
   if (!man) {
     throw io_error("durable store: " + opt.dir + " has no manifest");
   }
-  Manifest expected;
-  expected.spec_hash = spec_hash(kp);
-  expected.segment_edges = man->segment_edges;
-  expected.shards.resize(man->shards.size());
-  // scan_store re-checksums every committed segment and re-folds the
-  // chains — the integrity half of verification.
-  const ScanResult scan = scan_store(ops, opt.dir, expected);
+  const std::uint64_t spec = spec_hash(kp);
+  if (man->spec_hash != spec) {
+    throw validation_error("durable store: " + opt.dir +
+                           " was generated from a different spec "
+                           "(manifest spec hash mismatch)");
+  }
 
-  const auto shards = static_cast<index_t>(scan.manifest.shards.size());
+  const auto shards = static_cast<index_t>(man->shards.size());
   const kron::PartitionedStream part(kp, shards);
   kron::GroundTruthOracle oracle(kp);
   StreamValidator validator(oracle, opt.sample_seed, opt.sample_rate);
 
   VerifyReport rep;
   for (index_t s = 0; s < shards; ++s) {
-    const auto& prog = scan.manifest.shards[static_cast<std::size_t>(s)];
+    const auto& prog = man->shards[static_cast<std::size_t>(s)];
     if (prog.edges != part.entries_of(s)) {
       throw validation_error(
           "durable store: shard " + std::to_string(s) + " holds " +
           std::to_string(prog.edges) + " of " +
           std::to_string(part.entries_of(s)) +
-          " edges — store is incomplete, not verifiable as final output");
+          " edges — store is incomplete, not verifiable as final output "
+          "(resume it to finish)");
     }
     validator.begin_shard(/*first_row_partial=*/false);
-    for (count_t g = 0; g < prog.segments; ++g) {
-      const SegmentData seg =
-          read_segment(ops, opt.dir + "/" + segment_name(s, g));
-      for (const auto& [p, q] : seg.edges) validator.observe(p, q);
-      rep.edges += seg.header.num_edges;
-      ++rep.segments;
-    }
+    check_committed(ops, opt.dir, spec, s, prog,
+                    [&](const CheckedSegment& seg) {
+                      seg.for_each_edge([&](index_t p, index_t q) {
+                        validator.observe(p, q);
+                      });
+                      rep.edges += seg.header.num_edges;
+                      ++rep.segments;
+                    });
     validator.end_shard();
   }
   rep.rows_checked = validator.rows_checked();

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <string>
 
+#include "kronlab/grb/binary_io.hpp"
 #include "kronlab/io/durable.hpp"
 #include "kronlab/kron/oracle.hpp"
 #include "kronlab/kron/partition.hpp"
@@ -72,7 +73,15 @@ public:
   void begin_shard(bool first_row_partial);
 
   /// Observe the next edge of the current shard (row-major order).
-  void observe(index_t p, index_t q);
+  /// Inline: it runs once per streamed edge, and only a new row or a
+  /// sampled edge leaves the hot path.
+  void observe(index_t p, index_t q) {
+    if (p != row_) start_row(p);
+    ++row_edges_;
+    const auto key = static_cast<std::uint64_t>(p) * 0x9e3779b97f4a7c15ULL ^
+                     static_cast<std::uint64_t>(q);
+    if (sampled(key)) [[unlikely]] probe_edge(p, q);
+  }
 
   /// Close out the shard (checks the last open row).
   void end_shard();
@@ -81,7 +90,17 @@ public:
   [[nodiscard]] count_t edges_checked() const { return edges_checked_; }
 
 private:
-  [[nodiscard]] bool sampled(std::uint64_t x) const;
+  [[nodiscard]] bool sampled(std::uint64_t x) const {
+    if (rate_ == 1) return true;
+    x ^= seed_;
+    const std::uint64_t h = grb::fnv1a64(&x, sizeof x);
+    // A power-of-two rate (the default 64) takes a mask, not a
+    // division; both select exactly the hashes divisible by the rate.
+    return (rate_ & (rate_ - 1)) == 0 ? (h & (rate_ - 1)) == 0
+                                      : h % rate_ == 0;
+  }
+  void start_row(index_t p);
+  void probe_edge(index_t p, index_t q);
   void close_row();
 
   const kron::GroundTruthOracle* oracle_;
@@ -111,11 +130,16 @@ struct VerifyReport {
   count_t edges_checked = 0;
 };
 
-/// Re-read a COMPLETE store and validate it end to end: every segment
-/// checksums and tiles its shard exactly, the manifest chains reproduce,
-/// per-shard totals equal the partition's entry counts, and the decoded
-/// edge stream passes the StreamValidator at (seed, rate).  Throws
-/// io_error / validation_error as appropriate.
+/// Read a COMPLETE store back and validate it end to end, reading each
+/// committed segment once (one fold pass per segment, check_committed):
+/// every segment checksums and tiles its shard exactly, the manifest
+/// chains reproduce, per-shard totals equal the partition's entry counts,
+/// and the records pass the StreamValidator at (seed, rate) straight from
+/// the same bytes.  Read-only: `.tmp` files, stale segments and a
+/// sealed-but-uncommitted segment are left as they are, and a manifest
+/// that does not cover the whole stream is refused as incomplete
+/// (validation_error) — `resume` finishes such a store.  Throws io_error
+/// / validation_error as appropriate.
 VerifyReport verify_store(FileOps& ops,
                           const kron::BipartiteKronecker& kp,
                           const StreamGenOptions& opt);

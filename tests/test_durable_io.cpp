@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -71,6 +73,20 @@ std::map<std::string, std::string> store_bytes(const std::string& dir) {
   return out;
 }
 
+/// `segment` with its header's record count replaced by `n` (the rest,
+/// checksum included, left as is).
+std::string with_edge_count(std::string segment, std::int64_t n) {
+  std::memcpy(segment.data() + kSegmentHeaderBytes - sizeof n, &n, sizeof n);
+  return segment;
+}
+
+/// Overwrite `path` with `bytes` (no fsync — tests only).
+void overwrite(const std::string& path, const std::string& bytes) {
+  auto f = real_file_ops().create(path);
+  write_all(*f, bytes.data(), bytes.size());
+  f->close();
+}
+
 /// Reference store: one uninterrupted run of the canonical product.
 const std::map<std::string, std::string>& reference_store() {
   static const auto ref = [] {
@@ -109,7 +125,9 @@ TEST(DurableFormat, SegmentRoundTrip) {
   h.num_edges = 3;
   const std::vector<std::pair<index_t, index_t>> edges = {
       {1, 2}, {1, 9}, {4, 0}};
-  const std::uint64_t payload = write_segment(ops, dir, h, edges);
+  std::uint64_t chain = kFnvBasis;
+  const std::uint64_t payload = write_segment(ops, dir, h, edges, chain);
+  EXPECT_EQ(chain, payload); // a chain from the basis is the payload hash
   const auto seg = read_segment(ops, dir + "/" + segment_name(2, 5));
   EXPECT_EQ(seg.header.spec_hash, h.spec_hash);
   EXPECT_EQ(seg.header.shard, 2);
@@ -128,31 +146,32 @@ TEST(DurableFormat, SegmentCorruptionIsTyped) {
   FileOps& ops = real_file_ops();
   SegmentHeader h;
   h.num_edges = 2;
-  (void)write_segment(ops, dir, h, {{1, 2}, {3, 4}});
+  std::uint64_t chain = kFnvBasis;
+  (void)write_segment(ops, dir, h, {{1, 2}, {3, 4}}, chain);
   const std::string path = dir + "/" + segment_name(0, 0);
   const std::string good = *ops.read_file(path);
 
-  const auto rewrite = [&](const std::string& bytes) {
-    auto f = ops.create(path);
-    write_all(*f, bytes.data(), bytes.size());
-    f->close();
-  };
   // Flipped payload byte → checksum failure.
   std::string flipped = good;
   flipped[20] = static_cast<char>(flipped[20] ^ 0x40);
-  rewrite(flipped);
+  overwrite(path, flipped);
   EXPECT_THROW((void)read_segment(ops, path), validation_error);
   // Truncated tail (torn write) → typed error, not a crash.
-  rewrite(good.substr(0, good.size() - 5));
+  overwrite(path, good.substr(0, good.size() - 5));
   EXPECT_THROW((void)read_segment(ops, path), validation_error);
   // Wrong magic.
   std::string magic = good;
   magic[0] = 'X';
-  rewrite(magic);
+  overwrite(path, magic);
   EXPECT_THROW((void)read_segment(ops, path), validation_error);
   // Trailing garbage.
-  rewrite(good + "junk0000");
+  overwrite(path, good + "junk0000");
   EXPECT_THROW((void)read_segment(ops, path), validation_error);
+  // A record count within the plausibility cap but far past the bytes
+  // present: refused from the length, before anything is allocated.
+  overwrite(path, with_edge_count(good, (std::int64_t{1} << 40) - 1));
+  EXPECT_THROW((void)read_segment(ops, path), validation_error);
+  EXPECT_THROW((void)check_segment(ops, path), validation_error);
   // Missing file is io_error (distinct failure class).
   ops.remove(path);
   EXPECT_THROW((void)read_segment(ops, path), io_error);
@@ -178,10 +197,83 @@ TEST(DurableFormat, ManifestRoundTripAndCorruption) {
 
   std::string bytes = *ops.read_file(dir + "/MANIFEST");
   bytes[12] = static_cast<char>(bytes[12] ^ 1);
-  auto f = ops.create(dir + "/MANIFEST");
-  write_all(*f, bytes.data(), bytes.size());
-  f->close();
+  overwrite(dir + "/MANIFEST", bytes);
   EXPECT_THROW((void)read_manifest(ops, dir), validation_error);
+}
+
+// ---------------------------------------------------------------------------
+// Golden values, recorded from the byte-serial implementation (one fold
+// per hash, byte-wise sampling hash, `%` sampling).  They pin the on-disk
+// bytes and the sampled set: a faster fold or sampler must change none.
+
+TEST(DurableGolden, SegmentFoldsArePinned) {
+  const auto dir = testdir::fresh_temp_dir("golden_segment");
+  FileOps& ops = real_file_ops();
+  SegmentHeader h;
+  h.spec_hash = 0xabcdef;
+  h.shard = 2;
+  h.seg_index = 5;
+  h.first_edge = 320;
+  h.num_edges = 3;
+  std::uint64_t chain = 0x0123456789abcdefULL;
+  const std::uint64_t payload =
+      write_segment(ops, dir, h, {{1, 2}, {1, 9}, {4, 0}}, chain);
+  const std::string bytes = *ops.read_file(dir + "/" + segment_name(2, 5));
+  ASSERT_EQ(bytes.size(), 104u);
+  std::uint64_t trailer = 0;
+  std::memcpy(&trailer, bytes.data() + bytes.size() - 8, 8);
+  EXPECT_EQ(payload, 0xf1570024aee3bfacULL);
+  EXPECT_EQ(trailer, 0xdd1c38389103afcbULL);
+  EXPECT_EQ(chain, 0x23825c19eaf85522ULL);
+  const auto checked = check_segment(ops, dir + "/" + segment_name(2, 5),
+                                     0x0123456789abcdefULL);
+  EXPECT_EQ(checked.payload_hash, payload);
+  EXPECT_EQ(checked.chain, chain);
+}
+
+TEST(DurableGolden, StoreHashesArePinned) {
+  const auto kp = test_product();
+  const auto dir = testdir::fresh_temp_dir("golden_store");
+  const auto rep = generate_durable(real_file_ops(), kp, test_options(dir));
+  EXPECT_EQ(spec_hash(kp), 0xa8924fe6cadaf28fULL);
+  EXPECT_EQ(rep.manifest.spec_hash, 0xa8924fe6cadaf28fULL);
+  const std::uint64_t chains[3] = {0xf214ef8e12dfa5e3ULL,
+                                   0x0ac26f749677d8f5ULL,
+                                   0x72dc95b610a396cbULL};
+  ASSERT_EQ(rep.manifest.shards.size(), 3u);
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(rep.manifest.shards[s].chain_hash, chains[s]) << "shard " << s;
+  }
+  EXPECT_EQ(rep.rows_checked, 16);
+  EXPECT_EQ(rep.edges_checked, 138);
+}
+
+TEST(DurableGolden, SampledSetIsPinned) {
+  // (rate, seed) -> rows and edges checked over the 512-record stream;
+  // 64 takes the mask path, 10 the division.
+  struct Case {
+    std::uint64_t rate, seed;
+    count_t rows, edges;
+  };
+  const Case cases[] = {
+      {64, 1, 1, 14}, {64, 2, 1, 8},  {64, 3, 1, 7},  {64, 4, 1, 9},
+      {64, 5, 1, 6},  {64, 6, 1, 13}, {64, 7, 1, 12}, {64, 8, 1, 9},
+      {10, 1, 6, 52}, {10, 2, 6, 56}, {10, 3, 6, 57}, {10, 4, 6, 51},
+      {10, 5, 6, 62}, {10, 6, 5, 52}, {10, 7, 6, 49}, {10, 8, 6, 56},
+  };
+  const auto kp = test_product();
+  kron::GroundTruthOracle oracle(kp);
+  const kron::PartitionedStream part(kp, 1);
+  ASSERT_EQ(part.entries_of(0), 512);
+  for (const Case& c : cases) {
+    StreamValidator v(oracle, c.seed, c.rate);
+    v.begin_shard(false);
+    part.for_each_entry(0, [&](index_t p, index_t q) { v.observe(p, q); });
+    v.end_shard();
+    EXPECT_EQ(v.rows_checked(), c.rows) << "rate " << c.rate << " seed " << c.seed;
+    EXPECT_EQ(v.edges_checked(), c.edges)
+        << "rate " << c.rate << " seed " << c.seed;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -253,6 +345,42 @@ TEST(KillResumeMatrix, AdoptionCoversSealToCommitWindow) {
   opt.resume = true;
   const auto rep = generate_durable(real_file_ops(), kp, opt);
   EXPECT_GE(rep.adopted_segments, 1);
+  EXPECT_EQ(store_bytes(dir), reference_store());
+}
+
+/// Name of the one sealed-but-uncommitted segment a kill at
+/// "manifest:write:before" leaves in `dir`.
+std::string uncommitted_segment(const std::string& dir) {
+  const auto man = read_manifest(real_file_ops(), dir);
+  EXPECT_TRUE(man.has_value());
+  const auto names = real_file_ops().list_dir(dir);
+  for (std::size_t s = 0; man && s < man->shards.size(); ++s) {
+    const auto name = segment_name(static_cast<index_t>(s),
+                                   man->shards[s].segments);
+    if (std::find(names.begin(), names.end(), name) != names.end()) {
+      return dir + "/" + name;
+    }
+  }
+  ADD_FAILURE() << "no sealed-but-uncommitted segment in " << dir;
+  return {};
+}
+
+TEST(KillResumeMatrix, CrashWindowSegmentWithHugeCountIsDiscarded) {
+  // The sealed-but-uncommitted segment claims 2^40-1 records in a file
+  // that holds a few dozen: resume must discard it as torn (not die
+  // allocating for it) and regenerate the range byte-identically.
+  const auto kp = test_product();
+  const auto dir = testdir::fresh_temp_dir("huge_count");
+  auto opt = test_options(dir);
+  ASSERT_FALSE(run_with_kill(kp, opt, "manifest:write:before", 2));
+  const std::string victim = uncommitted_segment(dir);
+  ASSERT_FALSE(victim.empty());
+  overwrite(victim, with_edge_count(*real_file_ops().read_file(victim),
+                                    (std::int64_t{1} << 40) - 1));
+  opt.resume = true;
+  const auto rep = generate_durable(real_file_ops(), kp, opt);
+  EXPECT_EQ(rep.adopted_segments, 0);
+  EXPECT_GE(rep.discarded_files, 1);
   EXPECT_EQ(store_bytes(dir), reference_store());
 }
 
@@ -350,11 +478,7 @@ TEST(TornSegmentFuzz, RandomTailCorruptionIsDetectedOrDiscarded) {
           static_cast<std::size_t>(rng.next_below(bytes.size()));
       bytes[at] = static_cast<char>(bytes[at] ^ 0x5a);
     }
-    {
-      auto f = ops.create(dir + "/" + victim);
-      write_all(*f, bytes.data(), bytes.size());
-      f->close();
-    }
+    overwrite(dir + "/" + victim, bytes);
     // The corrupted file is either inside the committed range — resume
     // must refuse with a typed validation_error — or past it — resume
     // must discard and regenerate it, landing byte-identical.
@@ -441,11 +565,46 @@ TEST(StreamValidation, VerifyStoreCatchesCommittedCorruption) {
   const std::string path = dir + "/" + segment_name(1, 1);
   std::string bytes = *real_file_ops().read_file(path);
   bytes[48] = static_cast<char>(bytes[48] ^ 2);
-  auto f = real_file_ops().create(path);
-  write_all(*f, bytes.data(), bytes.size());
-  f->close();
+  overwrite(path, bytes);
   EXPECT_THROW((void)verify_store(real_file_ops(), kp, opt),
                validation_error);
+}
+
+TEST(StreamValidation, VerifyStoreIsReadOnly) {
+  // Files a resume would delete — a stray .tmp and a stale segment past
+  // the committed range — survive verify_store untouched, as does the
+  // manifest.
+  const auto kp = test_product();
+  const auto dir = testdir::fresh_temp_dir("verify_read_only");
+  const auto opt = test_options(dir);
+  generate_durable(real_file_ops(), kp, opt);
+  overwrite(dir + "/" + segment_name(0, 0) + ".tmp", "torn");
+  overwrite(dir + "/" + segment_name(0, 50),
+            *real_file_ops().read_file(dir + "/" + segment_name(0, 0)));
+  const auto before = store_bytes(dir);
+  const auto rep = verify_store(real_file_ops(), kp, opt);
+  EXPECT_EQ(rep.edges, read_manifest(real_file_ops(), dir)->total_edges());
+  EXPECT_EQ(store_bytes(dir), before);
+}
+
+TEST(StreamValidation, VerifyRefusesSealedButUncommittedStore) {
+  // Killed between a segment's seal and the manifest commit, the store
+  // is behind its own files: verify refuses it as incomplete and adopts
+  // nothing; resume then finishes it to the reference bytes.
+  const auto kp = test_product();
+  const auto dir = testdir::fresh_temp_dir("verify_uncommitted");
+  auto opt = test_options(dir);
+  ASSERT_FALSE(run_with_kill(kp, opt, "manifest:write:before", 2));
+  ASSERT_FALSE(uncommitted_segment(dir).empty());
+  const auto before = store_bytes(dir);
+  EXPECT_THROW((void)verify_store(real_file_ops(), kp, opt),
+               validation_error);
+  EXPECT_EQ(store_bytes(dir), before);
+  opt.resume = true;
+  const auto rep = generate_durable(real_file_ops(), kp, opt);
+  EXPECT_EQ(rep.adopted_segments, 1);
+  EXPECT_EQ(store_bytes(dir), reference_store());
+  EXPECT_NO_THROW((void)verify_store(real_file_ops(), kp, opt));
 }
 
 TEST(StreamValidation, ResumeAgainstDifferentSpecIsRefused) {
