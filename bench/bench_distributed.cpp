@@ -208,12 +208,8 @@ int main(int argc, char** argv) {
   std::printf("\n== fault-injected recovery (supervised pipeline) ==\n\n");
 
   const index_t ft_ranks = 4;
-  const auto ckpt_dir =
-      std::filesystem::temp_directory_path() / "kronlab_bench_ckpt";
-  std::filesystem::remove_all(ckpt_dir);
-  std::filesystem::create_directories(ckpt_dir);
   dist::CheckpointConfig ckpt;
-  ckpt.dir = ckpt_dir.string();
+  ckpt.dir = bench::fresh_bench_dir("ckpt");
   ckpt.interval_left_rows = 2;
 
   dist::RecoveryReport clean_rep;
@@ -230,8 +226,7 @@ int main(int argc, char** argv) {
               clean_rep.verified ? "yes" : "NO",
               format_count(clean_rep.checkpoints_written).c_str());
 
-  std::filesystem::remove_all(ckpt_dir);
-  std::filesystem::create_directories(ckpt_dir);
+  ckpt.dir = bench::fresh_bench_dir("ckpt");
   dist::FaultPlan plan;
   plan.seed = 1;
   plan.drop = 0.03;
@@ -248,7 +243,6 @@ int main(int argc, char** argv) {
     if (comm.rank() == 0) rep = r;
   });
   const double fault_s = t_fault.seconds();
-  std::filesystem::remove_all(ckpt_dir);
 
   std::string dead;
   for (const auto r : rep.dead_ranks) {

@@ -15,13 +15,9 @@
 //   verify_store      full offline re-validation (read every segment,
 //                     replay through the oracle validator).
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <string>
-#include <system_error>
 
 #include "harness/harness.hpp"
 #include "kronlab/common/timer.hpp"
@@ -32,39 +28,6 @@
 #include "kronlab/kron/product.hpp"
 
 using namespace kronlab;
-
-namespace {
-
-/// This process's scratch root, named with the pid so concurrent runs
-/// never share a tree, and removed with everything under it at exit
-/// (the tests/temp_dir.hpp scheme).
-const std::filesystem::path& bench_root() {
-  struct Root {
-    std::filesystem::path path =
-        std::filesystem::temp_directory_path() /
-        ("kronlab_bench_streaming_" + std::to_string(::getpid()));
-    Root() {
-      std::filesystem::remove_all(path);
-      std::filesystem::create_directories(path);
-    }
-    ~Root() {
-      std::error_code ignored;
-      std::filesystem::remove_all(path, ignored);
-    }
-  };
-  static const Root root;
-  return root.path;
-}
-
-/// Wipe and recreate one store directory under the bench's root.
-std::string fresh_dir(const std::string& name) {
-  const auto dir = bench_root() / name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
-
-} // namespace
 
 int main(int argc, char** argv) {
   bench::Harness h("streaming", bench::parse_args(argc, argv));
@@ -107,7 +70,7 @@ int main(int argc, char** argv) {
   // are compared against.
   {
     io::StreamGenOptions o = opt;
-    o.dir = fresh_dir("stream_warmup");
+    o.dir = bench::fresh_bench_dir("stream_warmup");
     (void)io::generate_durable(io::real_file_ops(), kp, o);
   }
   // -------------------------------------------------------------------
@@ -125,13 +88,13 @@ int main(int argc, char** argv) {
   const count_t kill_seg = std::max<count_t>(1, total_segments / 4);
   for (int r = 0; r < reps; ++r) {
     io::StreamGenOptions o = opt;
-    o.dir = fresh_dir("stream_cold");
+    o.dir = bench::fresh_bench_dir("stream_cold");
     Timer t_cold;
     const auto cold_rep = io::generate_durable(io::real_file_ops(), kp, o);
     const double cold_s = t_cold.seconds();
     if (best_cold < 0 || cold_s < best_cold) best_cold = cold_s;
 
-    o.dir = fresh_dir("stream_resume");
+    o.dir = bench::fresh_bench_dir("stream_resume");
     io::FsFaultPlan plan;
     plan.kill_point = "segment:rename:after";
     plan.kill_hits = static_cast<std::uint64_t>(kill_seg);
@@ -197,7 +160,7 @@ int main(int argc, char** argv) {
   // whole run is manifest scan + segment re-checksum.
   {
     io::StreamGenOptions o = opt;
-    o.dir = fresh_dir("stream_scan");
+    o.dir = bench::fresh_bench_dir("stream_scan");
     (void)io::generate_durable(io::real_file_ops(), kp, o);
     o.resume = true;
     const auto scan = h.time_section(

@@ -1,6 +1,7 @@
 #include "harness/harness.hpp"
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -9,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
@@ -58,6 +60,27 @@ std::string num(double v) {
 }
 
 } // namespace
+
+std::string fresh_bench_dir(const std::string& name) {
+  struct Root {
+    std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("kronlab_bench_" + std::to_string(::getpid()));
+    Root() {
+      std::filesystem::remove_all(path);
+      std::filesystem::create_directories(path);
+    }
+    ~Root() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static const Root root;
+  const auto dir = root.path / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
 
 Options parse_args(int argc, char** argv) {
   Options opt;

@@ -53,6 +53,12 @@ struct Options {
 /// arguments (typos in CI must fail loudly, not silently run the default).
 Options parse_args(int argc, char** argv);
 
+/// Wipe and recreate directory `name` under this process's temp root,
+/// <temp dir>/kronlab_bench_<pid>: named with the pid so concurrent runs
+/// never share a tree, and removed with everything under it at exit (the
+/// tests/temp_dir.hpp scheme).
+std::string fresh_bench_dir(const std::string& name);
+
 /// Timing statistics over `reps` repetitions of one section.
 struct TimingStats {
   int reps = 0;

@@ -67,7 +67,6 @@
 #include "kronlab/kron/stream.hpp"
 #include "kronlab/kron/triangles.hpp"
 #include "kronlab/serve/client.hpp"
-#include "kronlab/serve/lru.hpp"
 #include "kronlab/serve/protocol.hpp"
 #include "kronlab/serve/server.hpp"
 #include "kronlab/serve/transport.hpp"

@@ -1,7 +1,7 @@
 // kronlab/obs/watchdog.hpp
 //
 // Stall detection for long-running operations.  Instrumented code brackets
-// each potentially-stalling operation (an executor request, a ghost-row
+// each potentially-stalling operation (a served request, a ghost-row
 // exchange epoch, a durable segment commit) with a StallGuard; a single
 // watchdog thread samples the active-operation table and emits a
 // structured warning —

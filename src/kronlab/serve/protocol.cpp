@@ -56,16 +56,26 @@ public:
     return words_->size() - pos_;
   }
 
+  [[nodiscard]] std::size_t position() const { return pos_; }
+
   word_t next(const char* what) {
-    if (pos_ >= words_->size()) {
-      throw protocol_error(std::string("kronlab serve: payload truncated "
-                                       "while reading ") +
-                           what);
-    }
+    if (pos_ >= words_->size()) truncated(what);
     return (*words_)[pos_++];
   }
 
+  /// Step over `n` words that must all be present.
+  void skip(std::size_t n, const char* what) {
+    if (n > remaining()) truncated(what);
+    pos_ += n;
+  }
+
 private:
+  [[noreturn]] static void truncated(const char* what) {
+    throw protocol_error(std::string("kronlab serve: payload truncated "
+                                     "while reading ") +
+                         what);
+  }
+
   const std::vector<word_t>* words_;
   std::size_t pos_ = 0;
 };
@@ -93,34 +103,46 @@ std::vector<word_t> encode_request(const Request& req) {
   return out;
 }
 
-Request decode_request(const std::vector<word_t>& words) {
+void index_request(const std::vector<word_t>& words,
+                   std::vector<std::size_t>& probe_at) {
+  probe_at.clear();
   Cursor c(words);
-  Request req;
-  req.id = static_cast<std::uint64_t>(c.next("frame id"));
+  (void)c.next("frame id");
   const word_t n = c.next("probe count");
   if (n <= 0 || static_cast<std::size_t>(n) > max_batch_probes) {
     throw protocol_error("kronlab serve: probe count " + std::to_string(n) +
                          " outside (0, " + std::to_string(max_batch_probes) +
                          "]");
   }
-  req.probes.reserve(static_cast<std::size_t>(n));
+  probe_at.reserve(static_cast<std::size_t>(n));
   for (word_t i = 0; i < n; ++i) {
-    Probe p;
-    p.op = static_cast<Op>(c.next("opcode"));
+    probe_at.push_back(c.position());
+    (void)c.next("opcode");
     const word_t nargs = c.next("arg count");
     if (nargs < 0 || nargs > kMaxProbeArgs) {
       throw protocol_error("kronlab serve: probe arg count " +
                            std::to_string(nargs) + " outside [0, " +
                            std::to_string(kMaxProbeArgs) + "]");
     }
-    p.args.reserve(static_cast<std::size_t>(nargs));
-    for (word_t a = 0; a < nargs; ++a) p.args.push_back(c.next("probe arg"));
-    req.probes.push_back(std::move(p));
+    c.skip(static_cast<std::size_t>(nargs), "probe arg");
   }
   if (c.remaining() != 0) {
     throw protocol_error("kronlab serve: request carries " +
                          std::to_string(c.remaining()) +
                          " words past the last probe");
+  }
+}
+
+Request decode_request(const std::vector<word_t>& words) {
+  std::vector<std::size_t> probe_at;
+  index_request(words, probe_at);
+  Request req;
+  req.id = static_cast<std::uint64_t>(words[0]);
+  req.probes.reserve(probe_at.size());
+  for (const std::size_t at : probe_at) {
+    const word_t* args = words.data() + at + 2;
+    req.probes.push_back({static_cast<Op>(words[at]),
+                          {args, args + words[at + 1]}});
   }
   return req;
 }
@@ -181,28 +203,52 @@ std::uint64_t peek_request_id(const std::vector<word_t>& words) {
 }
 
 std::vector<word_t> encode_record(const kron::VertexRecord& r) {
-  return {r.p, r.degree, r.two_hop, r.squares, double_bits(r.closure)};
+  std::vector<word_t> out;
+  append_record(out, r);
+  return out;
 }
 
 std::vector<word_t> encode_record(const kron::EdgeRecord& r) {
-  return {r.p,       r.q,      r.degree_p,
-          r.degree_q, r.squares, double_bits(r.gamma)};
+  std::vector<word_t> out;
+  append_record(out, r);
+  return out;
 }
 
 std::vector<word_t> encode_record(const StatsRecord& r) {
-  return {r.num_vertices, r.num_edges, r.global_squares};
+  std::vector<word_t> out;
+  append_record(out, r);
+  return out;
 }
 
 std::vector<word_t> encode_hist(
     const std::vector<std::pair<count_t, index_t>>& pairs) {
   std::vector<word_t> out;
   out.reserve(1 + pairs.size() * 2);
+  append_hist(out, pairs);
+  return out;
+}
+
+void append_record(std::vector<word_t>& out, const kron::VertexRecord& r) {
+  out.insert(out.end(),
+             {r.p, r.degree, r.two_hop, r.squares, double_bits(r.closure)});
+}
+
+void append_record(std::vector<word_t>& out, const kron::EdgeRecord& r) {
+  out.insert(out.end(), {r.p, r.q, r.degree_p, r.degree_q, r.squares,
+                         double_bits(r.gamma)});
+}
+
+void append_record(std::vector<word_t>& out, const StatsRecord& r) {
+  out.insert(out.end(), {r.num_vertices, r.num_edges, r.global_squares});
+}
+
+void append_hist(std::vector<word_t>& out,
+                 std::span<const std::pair<count_t, index_t>> pairs) {
   out.push_back(static_cast<word_t>(pairs.size()));
   for (const auto& [degree, vertices] : pairs) {
     out.push_back(degree);
     out.push_back(vertices);
   }
-  return out;
 }
 
 kron::VertexRecord decode_vertex_record(const std::vector<word_t>& words) {
@@ -308,25 +354,34 @@ std::string decode_stats_text(const std::vector<word_t>& words) {
   return text;
 }
 
+std::vector<word_t> frame_with_room(const std::vector<word_t>& payload) {
+  std::vector<word_t> frame;
+  frame.reserve(frame_head_words + payload.size() + 1);
+  frame.resize(frame_head_words);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
+}
+
 std::vector<std::uint8_t> seal_frame(const std::vector<word_t>& payload) {
-  const std::size_t body = payload.size() * sizeof(word_t);
+  std::vector<word_t> frame = frame_with_room(payload);
+  seal_frame_in_place(frame);
+  std::vector<std::uint8_t> out(frame.size() * sizeof(word_t));
+  std::memcpy(out.data(), frame.data(), out.size());
+  return out;
+}
+
+void seal_frame_in_place(std::vector<word_t>& frame) {
+  const std::size_t body = (frame.size() - frame_head_words) * sizeof(word_t);
   if (body > max_frame_bytes) {
     throw protocol_error("kronlab serve: frame payload of " +
                          std::to_string(body) + " bytes exceeds the " +
                          std::to_string(max_frame_bytes) + "-byte cap");
   }
-  std::vector<std::uint8_t> out(sizeof frame_magic + 8 + body + 8);
-  std::uint8_t* w = out.data();
-  std::memcpy(w, frame_magic, sizeof frame_magic);
-  w += sizeof frame_magic;
-  const auto len = static_cast<std::uint64_t>(body);
-  std::memcpy(w, &len, 8);
-  w += 8;
-  if (body > 0) std::memcpy(w, payload.data(), body);
-  w += body;
-  const std::uint64_t sum = grb::fnv1a64(payload.data(), body);
-  std::memcpy(w, &sum, 8);
-  return out;
+  static_assert(sizeof frame_magic == sizeof(word_t));
+  std::memcpy(frame.data(), frame_magic, sizeof frame_magic);
+  frame[1] = static_cast<word_t>(body);
+  frame.push_back(static_cast<word_t>(
+      grb::fnv1a64(frame.data() + frame_head_words, body)));
 }
 
 std::vector<word_t> unseal_frame(const std::vector<std::uint8_t>& bytes) {

@@ -53,6 +53,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -183,6 +184,13 @@ struct StatsRecord {
 [[nodiscard]] std::vector<word_t> encode_request(const Request& req);
 [[nodiscard]] Request decode_request(const std::vector<word_t>& words);
 
+/// Check a request payload against decode_request's grammar, throwing the
+/// same protocol_error where it would, without copying a probe.  Fills
+/// `probe_at` with the word offset of each probe: its opcode is at the
+/// offset, its arg count one word on, its args from two words on.
+void index_request(const std::vector<word_t>& words,
+                   std::vector<std::size_t>& probe_at);
+
 [[nodiscard]] std::vector<word_t> encode_response(const Response& resp);
 [[nodiscard]] Response decode_response(const std::vector<word_t>& words);
 
@@ -191,11 +199,17 @@ struct StatsRecord {
 [[nodiscard]] std::uint64_t peek_request_id(const std::vector<word_t>& words);
 
 // Record <-> result words (the per-opcode layouts documented above).
+// append_* write the same words onto the end of `out`.
 [[nodiscard]] std::vector<word_t> encode_record(const kron::VertexRecord& r);
 [[nodiscard]] std::vector<word_t> encode_record(const kron::EdgeRecord& r);
 [[nodiscard]] std::vector<word_t> encode_record(const StatsRecord& r);
 [[nodiscard]] std::vector<word_t> encode_hist(
     const std::vector<std::pair<count_t, index_t>>& pairs);
+void append_record(std::vector<word_t>& out, const kron::VertexRecord& r);
+void append_record(std::vector<word_t>& out, const kron::EdgeRecord& r);
+void append_record(std::vector<word_t>& out, const StatsRecord& r);
+void append_hist(std::vector<word_t>& out,
+                 std::span<const std::pair<count_t, index_t>> pairs);
 
 [[nodiscard]] kron::VertexRecord decode_vertex_record(
     const std::vector<word_t>& words);
@@ -219,6 +233,21 @@ struct StatsRecord {
 /// magic | length | payload | checksum, as one contiguous byte buffer.
 [[nodiscard]] std::vector<std::uint8_t> seal_frame(
     const std::vector<word_t>& payload);
+
+/// Words a frame buffer keeps in front of its payload for the magic and
+/// the length (both are 8 bytes).
+inline constexpr std::size_t frame_head_words = 2;
+
+/// A frame buffer holding `payload` behind frame_head_words of room, with
+/// capacity for the checksum word, ready for seal_frame_in_place.
+[[nodiscard]] std::vector<word_t> frame_with_room(
+    const std::vector<word_t>& payload);
+
+/// Seal a frame buffer in place: `frame` holds frame_head_words words of
+/// room, then the payload.  Fills in the magic and the length and appends
+/// the checksum word, after which the buffer's bytes are exactly
+/// seal_frame(payload) — one checksum pass, no copy of the payload.
+void seal_frame_in_place(std::vector<word_t>& frame);
 
 /// Inverse of seal_frame over a complete in-memory frame.  Throws
 /// protocol_error / checksum_error exactly as the streaming reader in

@@ -18,7 +18,7 @@ namespace kronlab::serve {
 /// Per-connection state.  The Connection outlives its socket activity via
 /// shared_ptr: the reader thread, the conns_ registry, and every queued
 /// WorkItem hold references, so a client disconnecting mid-frame can
-/// never leave an executor writing through freed memory.
+/// never leave a slot holder writing through freed memory.
 struct Server::Connection {
   std::unique_ptr<Transport> transport;
   std::thread reader;
@@ -26,12 +26,51 @@ struct Server::Connection {
   std::atomic<bool> reader_done{false};
 };
 
+/// One execution slot.  Only the reader holding it touches its fields,
+/// so none takes a lock; the hit and miss counters have that one writer
+/// and are atomic only so stats() can read them from any thread.
+struct Server::Slot {
+  /// Direct-mapped vertex records, sized once; an entry's `p` is its key
+  /// (-1 = empty).  An empty table counts every lookup as a miss.
+  std::vector<kron::VertexRecord> cache;
+  std::atomic<std::uint64_t> hits{0};
+  std::atomic<std::uint64_t> misses{0};
+  std::vector<std::size_t> probe_at; ///< probe offsets of the frame
+  std::vector<word_t> frame;         ///< the response frame
+
+  kron::VertexRecord vertex(const kron::GroundTruthOracle& oracle,
+                            index_t p) {
+    if (cache.empty()) {
+      add_one(misses);
+      return oracle.vertex(p);
+    }
+    // Fibonacci hash; its high 32 bits scaled onto the table.
+    const std::uint64_t h =
+        static_cast<std::uint64_t>(p) * 0x9E3779B97F4A7C15ull;
+    kron::VertexRecord& entry = cache[((h >> 32) * cache.size()) >> 32];
+    if (entry.p == p) {
+      add_one(hits);
+      return entry;
+    }
+    add_one(misses);
+    entry = oracle.vertex(p);
+    return entry;
+  }
+
+  static void add_one(std::atomic<std::uint64_t>& counter) {
+    counter.store(counter.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+  }
+};
+
 Server::Server(const kron::BipartiteKronecker& kp, ServerOptions opt)
-    : oracle_(kp), opt_(opt), cache_(opt.cache_capacity) {
+    : oracle_(kp), opt_(opt) {
   KRONLAB_REQUIRE(opt_.executors > 0, "server needs at least one executor");
   KRONLAB_REQUIRE(opt_.queue_depth > 0, "queue depth must be positive");
   KRONLAB_REQUIRE(opt_.max_connections > 0,
                   "connection limit must be positive");
+  KRONLAB_REQUIRE(opt_.cache_capacity / opt_.executors < (1ull << 32),
+                  "cache capacity per executor must be below 2^32");
   stats_record_ = {kp.num_vertices(), kp.num_edges(),
                    kron::global_squares(kp)};
   for (const auto& [degree, vertices] : oracle_.degree_histogram()) {
@@ -44,9 +83,14 @@ Server::Server(const kron::BipartiteKronecker& kp, ServerOptions opt)
   }
   queue_depth_gauge_ = &obs::gauge("serve/queue_depth");
   start_ns_ = timer::now_ns();
-  executors_.reserve(opt_.executors);
+  slots_ = std::make_unique<Slot[]>(opt_.executors);
+  MutexLock lock(queue_mu_);
   for (std::size_t i = 0; i < opt_.executors; ++i) {
-    executors_.emplace_back([this, i] { executor_loop(i); });
+    const std::size_t entries =
+        opt_.cache_capacity / opt_.executors +
+        (i < opt_.cache_capacity % opt_.executors ? 1 : 0);
+    slots_[i].cache.assign(entries, kron::VertexRecord{-1});
+    free_slots_.push_back(&slots_[i]);
   }
 }
 
@@ -74,7 +118,7 @@ void Server::adopt(std::unique_ptr<Transport> transport) {
     connections_rejected_.fetch_add(1, std::memory_order_relaxed);
     obs::log(obs::LogLevel::info, "serve", "conn_rejected")
         .field("reason", "shutting_down");
-    send(*conn, encode_response({0, Status::shutting_down, {}}));
+    refuse(*conn, 0, Status::shutting_down);
     return; // transport closes with the Connection
   }
   std::size_t active = 0;
@@ -100,7 +144,7 @@ void Server::adopt(std::unique_ptr<Transport> transport) {
       .field("reason", "overloaded")
       .field("active", static_cast<std::uint64_t>(active))
       .field("max", static_cast<std::uint64_t>(opt_.max_connections));
-  send(*conn, encode_response({0, Status::overloaded, {}}));
+  refuse(*conn, 0, Status::overloaded);
 }
 
 void Server::reap_connections() {
@@ -127,18 +171,18 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
       malformed_.fetch_add(1, std::memory_order_relaxed);
       obs::log(obs::LogLevel::warn, "serve", "frame_checksum_error")
           .field("what", e.what());
-      send(*conn, encode_response({0, Status::malformed, {}}));
+      refuse(*conn, 0, Status::malformed);
       continue;
     } catch (const protocol_error& e) {
       // Bad magic / implausible length: the byte stream may be out of
       // sync — answer best-effort and drop the connection.  The close is
       // immediate (not deferred to reaping) so the peer observes EOF, at
-      // the cost of any still-executing responses on this stream.
+      // the cost of any still-queued responses on this stream.
       malformed_.fetch_add(1, std::memory_order_relaxed);
       obs::log(obs::LogLevel::warn, "serve", "frame_protocol_error")
           .field("what", e.what())
           .field("action", "drop_connection");
-      send(*conn, encode_response({0, Status::malformed, {}}));
+      refuse(*conn, 0, Status::malformed);
       t.shutdown();
       break;
     } catch (const error&) {
@@ -148,198 +192,227 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
     const std::uint64_t id = peek_request_id(payload);
     if (draining_.load(std::memory_order_acquire)) {
       shed_shutdown_.fetch_add(1, std::memory_order_relaxed);
-      send(*conn, encode_response({id, Status::shutting_down, {}}));
+      refuse(*conn, id, Status::shutting_down);
       continue;
     }
     in_flight_.fetch_add(1, std::memory_order_acq_rel);
-    if (!queue_push({conn, std::move(payload)})) {
+    // Take a free slot and run the frame here, or queue it for a slot
+    // holder, or refuse it.  One lock covers the choice, and a holder
+    // looks at the queue under it before giving its slot back, so a
+    // queued frame always has a holder that will run it.
+    Slot* slot = nullptr;
+    bool queued = false;
+    {
+      MutexLock lock(queue_mu_);
+      if (!free_slots_.empty()) {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+      } else if (queue_.size() < opt_.queue_depth) {
+        queue_.push_back({conn, std::move(payload)});
+        queue_depth_gauge_->set(static_cast<std::int64_t>(queue_.size()));
+        queued = true;
+      }
+    }
+    if (slot != nullptr) {
+      run_on_slot(*slot, *conn, payload);
+    } else if (!queued) {
       in_flight_.fetch_sub(1, std::memory_order_acq_rel);
       overloaded_.fetch_add(1, std::memory_order_relaxed);
-      send(*conn, encode_response({id, Status::overloaded, {}}));
+      refuse(*conn, id, Status::overloaded);
     }
   }
   conn->reader_done.store(true, std::memory_order_release);
 }
 
-void Server::executor_loop(std::size_t id) {
-  trace::set_thread_name("serve exec " + std::to_string(id));
-  while (auto item = queue_pop()) {
-    process(*item);
+void Server::run_on_slot(Slot& slot, Connection& conn,
+                         const std::vector<word_t>& payload) {
+  process(slot, conn, payload);
+  while (true) {
+    WorkItem item;
+    {
+      MutexLock lock(queue_mu_);
+      if (queue_.empty()) {
+        free_slots_.push_back(&slot);
+        return;
+      }
+      item = std::move(queue_.front());
+      queue_.pop_front();
+      queue_depth_gauge_->set(static_cast<std::int64_t>(queue_.size()));
+    }
+    // Outside the lock, so that dropping the last reference to a closed
+    // connection never closes its socket under queue_mu_.
+    process(slot, *item.conn, item.payload);
   }
 }
 
-void Server::process(WorkItem& item) {
+void Server::process(Slot& slot, Connection& conn,
+                     const std::vector<word_t>& req) {
   trace::Span span("serve", "request");
   metrics::KernelScope scope("serve/request");
   obs::LatencyScope latency(*request_hist_);
   obs::StallGuard stall_guard("serve/request");
-  Response resp;
+  std::vector<word_t>& out = slot.frame;
+  out.assign(frame_head_words, 0);
+  bool well_formed = true;
   try {
-    const Request req = decode_request(item.payload);
-    resp.id = req.id;
-    const auto n = static_cast<index_t>(req.probes.size());
-    resp.results.resize(req.probes.size());
-    probes_.fetch_add(req.probes.size(), std::memory_order_relaxed);
-    if (req.probes.size() >= opt_.parallel_batch_threshold) {
-      // Large batches fan out through the dynamic dispatcher; concurrent
-      // executors serialize on the pool's run mutex, which is the
-      // documented multi-caller discipline of ThreadPool::run.
-      parallel_for_dynamic(
-          0, n,
-          [&](index_t i) {
-            resp.results[static_cast<std::size_t>(i)] =
-                exec_probe(req.probes[static_cast<std::size_t>(i)]);
-          },
-          global_pool(), /*grain=*/32);
-    } else {
-      for (index_t i = 0; i < n; ++i) {
-        resp.results[static_cast<std::size_t>(i)] =
-            exec_probe(req.probes[static_cast<std::size_t>(i)]);
+    index_request(req, slot.probe_at);
+  } catch (const protocol_error&) {
+    well_formed = false;
+  }
+  if (!well_formed) {
+    malformed_.fetch_add(1, std::memory_order_relaxed);
+    out.insert(out.end(), {static_cast<word_t>(peek_request_id(req)),
+                           static_cast<word_t>(Status::malformed), 0});
+  } else {
+    const std::vector<std::size_t>& at = slot.probe_at;
+    std::array<std::uint64_t, 8> by_op{};
+    for (const std::size_t a : at) {
+      const auto opi = static_cast<std::uint64_t>(req[a]);
+      if (opi < by_op.size()) ++by_op[opi];
+    }
+    probes_.fetch_add(at.size(), std::memory_order_relaxed);
+    for (std::size_t i = 0; i < by_op.size(); ++i) {
+      if (by_op[i] != 0) {
+        probes_by_op_[i].fetch_add(by_op[i], std::memory_order_relaxed);
       }
     }
-  } catch (const protocol_error&) {
-    malformed_.fetch_add(1, std::memory_order_relaxed);
-    resp = Response{peek_request_id(item.payload), Status::malformed, {}};
+    out.insert(out.end(), {req[0], static_cast<word_t>(Status::ok),
+                           static_cast<word_t>(at.size())});
+    if (at.size() >= opt_.parallel_batch_threshold) {
+      // Large batches fan out through the dynamic dispatcher, each
+      // result into its own buffer; concurrent slot holders serialize on
+      // the pool's run mutex, which is the documented multi-caller
+      // discipline of ThreadPool::run.
+      std::vector<std::vector<word_t>> results(at.size());
+      parallel_for_dynamic(
+          0, static_cast<index_t>(at.size()),
+          [&](index_t i) {
+            const auto k = static_cast<std::size_t>(i);
+            run_probe(req.data() + at[k], results[k], nullptr);
+          },
+          global_pool(), /*grain=*/32);
+      for (const auto& r : results) out.insert(out.end(), r.begin(), r.end());
+    } else {
+      for (const std::size_t a : at) run_probe(req.data() + a, out, &slot);
+    }
   }
-  send(*item.conn, encode_response(resp));
+  send(conn, out);
   responses_.fetch_add(1, std::memory_order_relaxed);
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-ProbeResult Server::exec_probe(const Probe& probe) {
-  ProbeResult r;
-  r.op = probe.op;
-  const auto opi = static_cast<std::size_t>(probe.op);
-  if (opi < probes_by_op_.size()) {
-    probes_by_op_[opi].fetch_add(1, std::memory_order_relaxed);
-  }
+void Server::run_probe(const word_t* probe, std::vector<word_t>& out,
+                       Slot* slot) {
+  const auto op = static_cast<Op>(probe[0]);
+  const auto nargs = static_cast<std::size_t>(probe[1]);
+  const word_t* args = probe + 2;
+  const std::size_t head = out.size();
+  out.insert(out.end(), {probe[0], static_cast<word_t>(Status::ok), 0});
   // Sampled (1-in-8): a probe runs in well under a microsecond, so the
   // two clock reads of an unconditional scope would cost ~10% of
-  // throughput (X18).  probes_by_op_ above keeps the exact totals.
+  // throughput (X18).  probes_by_op_ keeps the exact totals.
+  const auto opi = static_cast<std::uint64_t>(probe[0]);
   obs::SampledLatencyScope latency(opi < op_hist_.size() ? op_hist_[opi]
                                                          : nullptr);
-  const auto bad = [&r] {
-    r.status = Status::bad_probe;
-    r.words.clear();
-    return r;
-  };
-  try {
-    switch (probe.op) {
+  // Appends the result words; any status but ok carries none.
+  const auto answer = [&]() -> Status {
+    switch (op) {
       case Op::vertex: {
-        if (probe.args.size() != 1) return bad();
-        const index_t p = probe.args[0];
-        if (p < 0 || p >= oracle_.num_vertices()) return bad();
-        r.words = encode_record(cached_vertex(p));
-        return r;
+        if (nargs != 1) return Status::bad_probe;
+        const index_t p = args[0];
+        if (p < 0 || p >= oracle_.num_vertices()) return Status::bad_probe;
+        append_record(out, slot != nullptr ? slot->vertex(oracle_, p)
+                                           : oracle_.vertex(p));
+        return Status::ok;
       }
       case Op::edge: {
-        if (probe.args.size() != 2) return bad();
-        const auto rec = oracle_.try_edge(probe.args[0], probe.args[1]);
-        if (!rec) {
-          r.status = Status::not_an_edge;
-          return r;
-        }
-        r.words = encode_record(*rec);
-        return r;
+        if (nargs != 2) return Status::bad_probe;
+        const auto rec = oracle_.try_edge(args[0], args[1]);
+        if (!rec) return Status::not_an_edge;
+        append_record(out, *rec);
+        return Status::ok;
       }
       case Op::degree_hist: {
-        if (probe.args.size() != 2) return bad();
-        const count_t lo = probe.args[0];
-        const count_t hi = probe.args[1];
-        if (lo > hi) return bad();
+        if (nargs != 2) return Status::bad_probe;
+        const count_t lo = args[0];
+        const count_t hi = args[1];
+        if (lo > hi) return Status::bad_probe;
         const auto key = [](const std::pair<count_t, index_t>& e,
                             count_t d) { return e.first < d; };
         const auto begin = std::lower_bound(degree_hist_.begin(),
                                             degree_hist_.end(), lo, key);
         const auto end = std::lower_bound(degree_hist_.begin(),
                                           degree_hist_.end(), hi + 1, key);
-        r.words = encode_hist({begin, end});
-        return r;
+        append_hist(out, {begin, end});
+        return Status::ok;
       }
       case Op::sample_vertex: {
-        if (probe.args.size() != 1) return bad();
-        Rng rng(static_cast<std::uint64_t>(probe.args[0]));
-        r.words = encode_record(oracle_.sample_vertex(rng));
-        return r;
+        if (nargs != 1) return Status::bad_probe;
+        Rng rng(static_cast<std::uint64_t>(args[0]));
+        append_record(out, oracle_.sample_vertex(rng));
+        return Status::ok;
       }
       case Op::sample_edge: {
-        if (probe.args.size() != 1) return bad();
-        Rng rng(static_cast<std::uint64_t>(probe.args[0]));
-        r.words = encode_record(oracle_.sample_edge(rng));
-        return r;
+        if (nargs != 1) return Status::bad_probe;
+        Rng rng(static_cast<std::uint64_t>(args[0]));
+        append_record(out, oracle_.sample_edge(rng));
+        return Status::ok;
       }
       case Op::stats: {
-        if (!probe.args.empty()) return bad();
-        r.words = encode_record(stats_record_);
-        return r;
+        if (nargs != 0) return Status::bad_probe;
+        append_record(out, stats_record_);
+        return Status::ok;
       }
       case Op::server_stats: {
-        if (probe.args.size() != 1) return bad();
-        const auto format = static_cast<StatsFormat>(probe.args[0]);
+        if (nargs != 1) return Status::bad_probe;
+        const auto format = static_cast<StatsFormat>(args[0]);
         if (format != StatsFormat::json &&
             format != StatsFormat::prometheus) {
-          return bad();
+          return Status::bad_probe;
         }
-        r.words = encode_stats_text(format, stats_text(format));
-        return r;
+        const auto words = encode_stats_text(format, stats_text(format));
+        out.insert(out.end(), words.begin(), words.end());
+        return Status::ok;
       }
     }
-    return bad(); // unknown opcode
+    return Status::bad_probe; // unknown opcode
+  };
+  Status status = Status::bad_probe;
+  try {
+    status = answer();
   } catch (const error&) {
     // A probe must never take the daemon down; the typed error becomes a
     // typed status (e.g. sample_edge on an edgeless product).
-    return bad();
   }
+  if (status != Status::ok) {
+    out.resize(head + 3);
+    out[head + 1] = static_cast<word_t>(status);
+  }
+  out[head + 2] = static_cast<word_t>(out.size() - head - 3);
 }
 
-kron::VertexRecord Server::cached_vertex(index_t p) {
-  if (auto hit = cache_.get(p)) return *hit;
-  // Miss: compute outside any shard lock so concurrent misses overlap; a
-  // racing double-insert of the same record is benign.
-  const auto rec = oracle_.vertex(p);
-  cache_.put(p, rec);
-  return rec;
+void Server::refuse(Connection& conn, std::uint64_t id, Status status) {
+  std::vector<word_t> frame =
+      frame_with_room(encode_response({id, status, {}}));
+  send(conn, frame);
 }
 
-void Server::send(Connection& conn, const std::vector<word_t>& payload) {
-  MutexLock lock(conn.write_mu);
+void Server::send(Connection& conn, std::vector<word_t>& frame) {
   try {
+    seal_frame_in_place(frame);
+    MutexLock lock(conn.write_mu);
     // kronlab-analyze: allow(blocking-under-lock) write_mu is this
     // connection's dedicated frame mutex; it exists precisely to keep
     // concurrent responses from interleaving bytes, and nothing else
     // ever waits on it while doing work
-    write_frame(*conn.transport, payload);
+    conn.transport->write_all(frame.data(), frame.size() * sizeof(word_t));
   } catch (const error& e) {
-    // Peer vanished mid-response; its reader sees the close and the
-    // connection is reaped.  Dropping the write is the only option left.
+    // Peer vanished mid-response (or the answer outgrew a frame); its
+    // reader sees the close and the connection is reaped.  Dropping the
+    // write is the only option left.
     obs::log(obs::LogLevel::debug, "serve", "response_write_failed")
         .field("what", e.what());
   }
-}
-
-bool Server::queue_push(WorkItem item) {
-  MutexLock lock(queue_mu_);
-  if (queue_closed_ || queue_.size() >= opt_.queue_depth) return false;
-  queue_.push_back(std::move(item));
-  queue_depth_gauge_->set(static_cast<std::int64_t>(queue_.size()));
-  queue_cv_.notify_one();
-  return true;
-}
-
-std::optional<Server::WorkItem> Server::queue_pop() {
-  MutexLock lock(queue_mu_);
-  while (queue_.empty() && !queue_closed_) queue_cv_.wait(queue_mu_);
-  if (queue_.empty()) return std::nullopt;
-  WorkItem item = std::move(queue_.front());
-  queue_.pop_front();
-  queue_depth_gauge_->set(static_cast<std::int64_t>(queue_.size()));
-  return item;
-}
-
-void Server::queue_close() {
-  MutexLock lock(queue_mu_);
-  queue_closed_ = true;
-  queue_cv_.notify_all();
 }
 
 void Server::stop() {
@@ -377,10 +450,7 @@ void Server::stop() {
       if (c->reader.joinable()) c->reader.join();
     }
   }
-  // No reader can push anymore; let the executors finish the backlog.
-  queue_close();
-  for (auto& e : executors_) e.join();
-  executors_.clear();
+  // Every reader has finished its frames and the queue behind its slot.
   {
     MutexLock lock(conn_mu_);
     for (const auto& c : conns_) c->transport->shutdown();
@@ -493,8 +563,10 @@ ServerStats Server::stats() const {
   s.overloaded = overloaded_.load(std::memory_order_relaxed);
   s.malformed = malformed_.load(std::memory_order_relaxed);
   s.shed_shutdown = shed_shutdown_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_.hits();
-  s.cache_misses = cache_.misses();
+  for (std::size_t i = 0; i < opt_.executors; ++i) {
+    s.cache_hits += slots_[i].hits.load(std::memory_order_relaxed);
+    s.cache_misses += slots_[i].misses.load(std::memory_order_relaxed);
+  }
   for (std::size_t i = 0; i < s.probes_by_op.size(); ++i) {
     s.probes_by_op[i] = probes_by_op_[i].load(std::memory_order_relaxed);
   }

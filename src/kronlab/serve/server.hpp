@@ -9,28 +9,29 @@
 //   * an accept thread (when started with a Listener) admitting
 //     connections up to a slot limit — a connection beyond it gets one
 //     `overloaded` frame and a close, never a silent drop;
-//   * one reader thread per connection, which does nothing but frame
-//     decoding and admission: a decoded request frame is pushed onto a
-//     bounded work queue, and when the queue is full the reader answers
-//     `overloaded` immediately (clients see backpressure as data, not as
-//     an ever-growing queue — the admission discipline of the ROADMAP's
-//     "millions of users" story);
-//   * a fixed pool of executor threads popping frames off the queue,
-//     running every probe in the batch (large batches fan out through the
-//     parallel runtime's dynamic dispatcher), and writing the response
-//     under the connection's write mutex;
-//   * an LRU cache (lru.hpp) of hot vertex records in front of the
-//     oracle, keyed by product vertex id;
+//   * one reader thread per connection, which reads a frame and runs it
+//     to completion itself: it takes one of `executors` execution slots,
+//     executes every probe, writes the response under the connection's
+//     write mutex, and before it gives the slot back runs every frame
+//     other readers queued meanwhile.  When every slot is taken the frame
+//     joins a bounded queue instead, and when that is full the reader
+//     answers `overloaded` at once (clients see backpressure as data, not
+//     as an ever-growing queue — the admission discipline of the
+//     ROADMAP's "millions of users" story).  Large batches fan out
+//     through the parallel runtime's dynamic dispatcher;
+//   * per slot, a fixed-size direct-mapped table of vertex records in
+//     front of the oracle.  Only the slot's holder touches it, so it
+//     takes no lock; fan-out batches call the oracle directly;
 //   * per-request obs/trace spans and parallel/metrics kernel scopes, so
 //     a traced run shows one "request" span per frame and the bench
 //     harness folds serve-side dispatch stats into its JSON.
 //
 // Shutdown (stop(), also the SIGTERM path of kronlab_served) is a
 // graceful drain: stop accepting, half-close every connection's read
-// side, join the readers, let the executors finish every admitted frame
-// (responses still flow — only reads are shut), then close the sockets.
-// After stop() returns, in_flight() == 0 by construction, which
-// test_serve_concurrency asserts under TSan.
+// side, join the readers — each finishes the frame it holds and every
+// frame queued behind its slot, responses still flowing since only reads
+// are shut — then close the sockets.  After stop() returns, in_flight()
+// == 0 by construction, which test_serve_concurrency asserts under TSan.
 
 #pragma once
 
@@ -39,26 +40,26 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "kronlab/common/sync.hpp"
 #include "kronlab/kron/oracle.hpp"
 #include "kronlab/obs/stats.hpp"
-#include "kronlab/serve/lru.hpp"
 #include "kronlab/serve/protocol.hpp"
 #include "kronlab/serve/transport.hpp"
 
 namespace kronlab::serve {
 
 struct ServerOptions {
-  std::size_t executors = 2;        ///< request-executor threads
-  std::size_t queue_depth = 64;     ///< admitted-but-unserved frame cap
+  std::size_t executors = 2;        ///< frames executing at once (slots)
+  std::size_t queue_depth = 64;     ///< frames waiting for a slot, cap
   std::size_t max_connections = 64; ///< concurrent connection slots
-  std::size_t cache_capacity = 4096; ///< vertex-record LRU entries; 0 = off
+  /// Vertex-record cache entries in total, split evenly over the
+  /// execution slots; 0 = off.
+  std::size_t cache_capacity = 4096;
   /// Batches with at least this many probes fan out through the parallel
-  /// runtime (parallel_for_dynamic); smaller ones run on the executor.
+  /// runtime (parallel_for_dynamic); smaller ones run on the slot holder.
   std::size_t parallel_batch_threshold = 256;
 };
 
@@ -73,6 +74,8 @@ struct ServerStats {
   std::uint64_t overloaded = 0;           ///< frames refused at admission
   std::uint64_t malformed = 0;            ///< corrupt/ill-formed frames
   std::uint64_t shed_shutdown = 0;        ///< frames refused while draining
+  /// Vertex lookups of frames below parallel_batch_threshold; fan-out
+  /// batches bypass the cache.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::array<std::uint64_t, 8> probes_by_op{};
@@ -122,6 +125,7 @@ public:
 
 private:
   struct Connection;
+  struct Slot;
   struct WorkItem {
     std::shared_ptr<Connection> conn;
     std::vector<word_t> payload;
@@ -129,17 +133,23 @@ private:
 
   void accept_loop();
   void reader_loop(const std::shared_ptr<Connection>& conn);
-  void executor_loop(std::size_t id);
-  void process(WorkItem& item);
-  [[nodiscard]] ProbeResult exec_probe(const Probe& probe);
-  [[nodiscard]] kron::VertexRecord cached_vertex(index_t p);
-  void send(Connection& conn, const std::vector<word_t>& payload);
+  /// Run `payload`, read from `conn`, on the free `slot`, then every
+  /// queued frame, then give the slot back.
+  void run_on_slot(Slot& slot, Connection& conn,
+                   const std::vector<word_t>& payload);
+  /// Execute one request payload and answer it on `conn`.
+  void process(Slot& slot, Connection& conn,
+               const std::vector<word_t>& req);
+  /// Append one result (op | status | word count | words) for the probe
+  /// whose opcode word is `probe` to `out`.  `slot` is null on fan-out
+  /// workers, which call the oracle directly.
+  void run_probe(const word_t* probe, std::vector<word_t>& out, Slot* slot);
+  /// Answer a frame-level `status` with no results.
+  void refuse(Connection& conn, std::uint64_t id, Status status);
+  /// Seal `frame` (frame_with_room layout) and write it as one frame.
+  void send(Connection& conn, std::vector<word_t>& frame);
   /// Join reader threads of connections whose readers have exited.
   void reap_connections() REQUIRES(conn_mu_);
-
-  [[nodiscard]] bool queue_push(WorkItem item);
-  [[nodiscard]] std::optional<WorkItem> queue_pop();
-  void queue_close();
 
   const kron::GroundTruthOracle oracle_;
   const ServerOptions opt_;
@@ -148,22 +158,19 @@ private:
   /// Op::degree_hist without touching the oracle.
   std::vector<std::pair<count_t, index_t>> degree_hist_;
 
-  /// Hash-sharded vertex-record cache: executors probing different
-  /// vertices contend only on same-shard collisions.  Owns the hit/miss
-  /// counters stats() reports.
-  ShardedLru<index_t, kron::VertexRecord> cache_;
+  /// The `executors` execution slots; a reader owns one from taking it
+  /// off free_slots_ until it puts it back.
+  std::unique_ptr<Slot[]> slots_;
 
   Mutex queue_mu_;
-  CondVar queue_cv_;
+  std::vector<Slot*> free_slots_ GUARDED_BY(queue_mu_);
   std::deque<WorkItem> queue_ GUARDED_BY(queue_mu_);
-  bool queue_closed_ GUARDED_BY(queue_mu_) = false;
 
   Mutex conn_mu_;
   std::vector<std::shared_ptr<Connection>> conns_ GUARDED_BY(conn_mu_);
 
   std::unique_ptr<Listener> listener_;
   std::thread accept_thread_;
-  std::vector<std::thread> executors_;
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> stopped_{false};

@@ -22,9 +22,8 @@ namespace {
   throw io_error("kronlab serve: " + what + ": " + std::strerror(errno));
 }
 
-/// Deadline → remaining poll() timeout in ms (-1 = forever, 0 = expired).
-int poll_timeout(std::chrono::steady_clock::time_point end, bool infinite) {
-  if (infinite) return -1;
+/// Deadline → remaining poll() timeout in ms (0 = expired).
+int poll_timeout(std::chrono::steady_clock::time_point end) {
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
       end - std::chrono::steady_clock::now());
   return left.count() <= 0 ? 0 : static_cast<int>(left.count());
@@ -49,16 +48,20 @@ public:
     auto* out = static_cast<std::uint8_t*>(buf);
     std::size_t got = 0;
     while (got < n) {
-      pollfd pfd{fd_, POLLIN, 0};
-      const int pr = ::poll(&pfd, 1, poll_timeout(end, infinite));
-      if (pr < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("poll");
-      }
-      if (pr == 0) {
-        throw timeout_error("kronlab serve: read deadline expired after " +
-                            std::to_string(got) + "/" + std::to_string(n) +
-                            " bytes");
+      // Without a deadline a blocking recv is enough: shutdown_read()
+      // wakes it with an EOF, exactly as it would wake a poll.
+      if (!infinite) {
+        pollfd pfd{fd_, POLLIN, 0};
+        const int pr = ::poll(&pfd, 1, poll_timeout(end));
+        if (pr < 0) {
+          if (errno == EINTR) continue;
+          throw_errno("poll");
+        }
+        if (pr == 0) {
+          throw timeout_error("kronlab serve: read deadline expired after " +
+                              std::to_string(got) + "/" +
+                              std::to_string(n) + " bytes");
+        }
       }
       const ssize_t r = ::recv(fd_, out + got, n - got, 0);
       if (r < 0) {
@@ -302,8 +305,9 @@ TransportFaultStats FaultyTransport::fault_stats() const {
 // Framing.
 
 void write_frame(Transport& t, const std::vector<word_t>& payload) {
-  const auto frame = seal_frame(payload);
-  t.write_all(frame.data(), frame.size());
+  std::vector<word_t> frame = frame_with_room(payload);
+  seal_frame_in_place(frame);
+  t.write_all(frame.data(), frame.size() * sizeof(word_t));
 }
 
 std::optional<std::vector<word_t>> read_frame(
@@ -319,14 +323,14 @@ std::optional<std::vector<word_t>> read_frame(
     throw protocol_error("kronlab serve: implausible frame length " +
                          std::to_string(len));
   }
-  std::vector<word_t> payload(len / sizeof(word_t));
-  std::vector<std::uint8_t> tail(static_cast<std::size_t>(len) + 8);
-  if (!t.read_exact(tail.data(), tail.size(), deadline)) {
+  // Payload and checksum land in one buffer; the checksum word is then
+  // popped off the end.
+  std::vector<word_t> payload(len / sizeof(word_t) + 1);
+  if (!t.read_exact(payload.data(), len + 8, deadline)) {
     throw io_error("kronlab serve: peer closed mid-frame");
   }
-  if (len > 0) std::memcpy(payload.data(), tail.data(), len);
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, tail.data() + len, 8);
+  const auto stored = static_cast<std::uint64_t>(payload.back());
+  payload.pop_back();
   if (stored != grb::fnv1a64(payload.data(), len)) {
     throw checksum_error("kronlab serve: frame checksum mismatch");
   }

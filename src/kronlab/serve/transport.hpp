@@ -31,8 +31,9 @@ namespace kronlab::serve {
 inline constexpr std::chrono::milliseconds no_deadline{-1};
 
 /// A connected byte stream.  Implementations are safe for one concurrent
-/// reader plus one concurrent writer (the server's reader thread and
-/// executor writes hold a per-connection write mutex above this layer).
+/// reader plus one concurrent writer (the server's response writes, from
+/// whichever reader thread runs the frame, hold a per-connection write
+/// mutex above this layer).
 class Transport {
 public:
   virtual ~Transport() = default;

@@ -2,7 +2,7 @@
 // chaos thread disconnecting mid-frame, shutdown under load, and the
 // graceful-drain invariant (in_flight() == 0 after stop(), every admitted
 // frame answered).  CI runs this suite under TSan — the locking
-// discipline of the reader/executor/cache paths is what is on trial, so
+// discipline of the reader, slot and queue paths is what is on trial, so
 // the test leans on genuine parallelism, not sleeps.
 
 #include <gtest/gtest.h>
@@ -65,6 +65,78 @@ TEST(ServeConcurrency, MultiClientSoakEveryFrameAnswered) {
   EXPECT_EQ(stats.responses, stats.frames);
   EXPECT_EQ(stats.probes, 2u * static_cast<std::uint64_t>(kClients) *
                               static_cast<std::uint64_t>(kFrames));
+}
+
+TEST(ServeConcurrency, MultiClientSoakOnOneSlotRunsQueuedFrames) {
+  // One execution slot for four clients: most frames wait in the queue
+  // and run on whichever reader holds the slot, writing to a connection
+  // that is not its own — the hand-off TSan checks here.
+  const auto kp = make_product();
+  ServerOptions opt;
+  opt.executors = 1;
+  Server server(kp, opt);
+
+  constexpr int kClients = 4;
+  constexpr int kFrames = 100;
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int c = 0; c < kClients; ++c) {
+    auto [client_end, server_end] = local_pair();
+    server.adopt(std::move(server_end));
+    clients.push_back(std::make_unique<Client>(std::move(client_end)));
+  }
+
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      Client& client = *clients[static_cast<std::size_t>(c)];
+      for (int f = 0; f < kFrames; ++f) {
+        const index_t p = (c * 7 + f) % kp.num_vertices();
+        const Response resp =
+            client.call({Probe::vertex(p), Probe::sample_edge(
+                                               static_cast<std::uint64_t>(f))});
+        ASSERT_EQ(resp.status, Status::ok);
+        ASSERT_EQ(resp.results.size(), 2u);
+        EXPECT_EQ(decode_vertex_record(resp.results[0].words).p, p);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  server.stop();
+  EXPECT_EQ(server.in_flight(), 0u);
+  const auto stats = server.stats();
+  constexpr auto kTotal = static_cast<std::uint64_t>(kClients * kFrames);
+  EXPECT_EQ(stats.frames, kTotal);
+  EXPECT_EQ(stats.responses, kTotal);
+  EXPECT_EQ(stats.overloaded, 0u);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, kTotal);
+}
+
+TEST(ServeConcurrency, ShutdownReadWakesAReaderBlockedWithoutDeadline) {
+  // A reader without a deadline blocks in recv; the drain relies on
+  // shutdown_read() ending that wait with a clean EOF.
+  const auto blocked_read_wakes = [](Transport& server_end) {
+    std::atomic<bool> returned{false};
+    bool got_frame = true;
+    std::thread reader([&] {
+      std::uint8_t byte = 0;
+      got_frame = server_end.read_exact(&byte, 1, no_deadline);
+      returned.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(returned.load());
+    server_end.shutdown_read();
+    reader.join();
+    EXPECT_FALSE(got_frame);
+  };
+  auto [client_end, server_end] = local_pair();
+  blocked_read_wakes(*server_end);
+
+  const auto listener = listen_tcp(0);
+  const auto tcp_client = connect_tcp("127.0.0.1", listener->port());
+  const auto tcp_server = listener->accept();
+  ASSERT_NE(tcp_server, nullptr);
+  blocked_read_wakes(*tcp_server);
 }
 
 TEST(ServeConcurrency, ChaosDisconnectsNeverDisturbTheSoak) {

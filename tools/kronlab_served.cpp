@@ -64,9 +64,11 @@ struct Options {
       "--tcp PORT     listen on 127.0.0.1:PORT (0 = ephemeral; the bound\n"
       "               port is printed to stdout as 'port NNNN')\n"
       "--unix PATH    listen on a Unix-domain socket at PATH\n"
-      "--executors N  request-executor threads (default %d)\n"
-      "--queue-depth N  admitted-frame queue bound (default %d)\n"
-      "--cache N      vertex-record LRU entries, 0 disables (default %d)\n"
+      "--executors N  frames executing at once, each on the reader\n"
+      "               thread of its connection (default %d)\n"
+      "--queue-depth N  frames waiting for an executor, bound (default %d)\n"
+      "--cache N      vertex-record cache entries, split over the\n"
+      "               executors; 0 disables (default %d)\n"
       "--watchdog-ms N  stall-watchdog deadline in ms, 0 disables\n"
       "               (default 1000) — a request/exchange/commit stuck\n"
       "               longer than this logs a structured warning\n"
