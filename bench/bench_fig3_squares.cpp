@@ -10,8 +10,8 @@
 // the perf trajectory: the retained reference wedge-table counters vs the
 // degree-ordered cache-blocked kernels (graph/blocked.hpp), on
 // heavy-tailed preferential-attachment factors of increasing size, with
-// exact-agreement checks and the per-kernel dispatch metrics dumped into
-// BENCH_fig3_squares.json by the shared harness.
+// exact-agreement checks and the per-kernel kernel/<name> stats dumped
+// into BENCH_fig3_squares.json by the shared harness.
 
 #include <cstdio>
 
@@ -182,7 +182,5 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   h.counter("kernels_agree", all_agree ? 1.0 : 0.0);
-
-  std::printf("per-kernel metrics:\n%s", metrics::report_text().c_str());
   return all_agree ? 0 : 1;
 }

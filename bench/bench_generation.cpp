@@ -18,7 +18,6 @@
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/gen/rmat.hpp"
 #include "kronlab/kron/stream.hpp"
-#include "kronlab/parallel/metrics.hpp"
 
 using namespace kronlab;
 
@@ -103,8 +102,5 @@ int main(int argc, char** argv) {
   std::printf("\nshape: streaming matches or beats sampling throughput while "
               "also carrying\nexact per-edge ground truth — the §I pitch for "
               "nonstochastic generators as\nvalidation tools.\n");
-
-  std::printf("\n== per-kernel parallel metrics ==\n%s",
-              metrics::report_text().c_str());
   return 0;
 }

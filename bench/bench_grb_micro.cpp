@@ -1,8 +1,8 @@
 // X3: google-benchmark microbenchmarks for the grb kernels the ground-truth
 // pipeline is built from: mxv, SpGEMM, Hadamard, Kronecker product, and the
-// factor-statistics bundle.  Per-kernel parallel metrics (chunk counts,
-// busy time, load imbalance) accumulate across all iterations and are
-// dumped after the benchmark table.
+// factor-statistics bundle.  Per-kernel stats (calls, wall time, chunk
+// counts, busy time) accumulate across all iterations into the harness
+// JSON's kernel/<name> counters.
 
 #include <benchmark/benchmark.h>
 
@@ -17,7 +17,6 @@
 #include "kronlab/grb/kron.hpp"
 #include "kronlab/grb/ops.hpp"
 #include "kronlab/kron/ground_truth.hpp"
-#include "kronlab/parallel/metrics.hpp"
 
 using namespace kronlab;
 
@@ -109,7 +108,7 @@ int main(int argc, char** argv) {
                    bench::parse_args(our_argc, our_args.data()));
 
   // Quick mode trims each family to its smallest instances; the harness
-  // JSON still carries the full per-kernel parallel metrics snapshot.
+  // JSON still carries every kernel's kernel/<name> stats.
   std::string quick_filter = "--benchmark_filter=.*/(2|4)$";
   if (h.quick()) bm_args.push_back(quick_filter.data());
 
@@ -121,7 +120,5 @@ int main(int argc, char** argv) {
   const auto run = benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   h.counter("benchmarks_run", static_cast<double>(run));
-  std::printf("\n== per-kernel parallel metrics ==\n%s",
-              metrics::report_text().c_str());
   return 0;
 }

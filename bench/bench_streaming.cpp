@@ -8,8 +8,9 @@
 //                     baseline edges/sec of the durable pipeline.
 //   interrupted_total kill the writer mid-run (FaultyFileOps, a
 //                     deterministic crash at a segment seal) and resume;
-//                     the sum must stay within 5% of a cold run, and the
-//                     resumed manifest must be chain-hash-identical.
+//                     in the median of >= 5 cold/resume pairs the sum
+//                     must stay within 5% of its paired cold run, and
+//                     every resumed manifest must be chain-hash-identical.
 //   resume_scan       no-op resume of a complete store — the pure scan /
 //                     re-checksum overhead every restart pays.
 //   verify_store      full offline re-validation (read every segment,
@@ -18,6 +19,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "harness/harness.hpp"
 #include "kronlab/common/timer.hpp"
@@ -74,69 +76,88 @@ int main(int argc, char** argv) {
     (void)io::generate_durable(io::real_file_ops(), kp, o);
   }
   // -------------------------------------------------------------------
-  // Cold baseline vs interrupted + resumed, measured as PAIRS: each rep
-  // times a fresh cold run, then a run crashed at a quarter-way segment
-  // seal (FaultyFileOps) plus its resume, back to back.  The overhead
-  // ratio is taken per pair and the best pair wins — machine-load noise
-  // hits both sides of a pair alike, where independent best-of-N on a
-  // busy box can swing the ratio by tens of percent.
-  double best_cold = -1.0, best_total = -1.0;
-  double best_killed = 0.0, best_resume = 0.0;
-  double overhead_pct = 1e9;
+  // Cold baseline vs interrupted + resumed, measured as interleaved
+  // PAIRS: each pair times a fresh cold run and a run crashed at a
+  // quarter-way segment seal (FaultyFileOps) plus its resume, back to
+  // back, so machine-load drift hits both sides of a pair alike; which
+  // side goes first alternates, so order effects cancel across pairs.
+  // The budget is tested on the MEDIAN pair's overhead: one lucky pair
+  // cannot pass it and one scheduling hiccup cannot fail it.
+  struct Pair {
+    double cold_s = 0, killed_s = 0, resume_s = 0;
+    [[nodiscard]] double overhead_pct() const {
+      return (killed_s + resume_s - cold_s) / cold_s * 100.0;
+    }
+  };
+  std::vector<Pair> pairs;
   bool identical = true;
-  const int reps = std::max(2, h.reps_for(3));
+  const int reps = std::max(5, h.reps_for(5));
   const count_t kill_seg = std::max<count_t>(1, total_segments / 4);
   for (int r = 0; r < reps; ++r) {
-    io::StreamGenOptions o = opt;
-    o.dir = bench::fresh_bench_dir("stream_cold");
-    Timer t_cold;
-    const auto cold_rep = io::generate_durable(io::real_file_ops(), kp, o);
-    const double cold_s = t_cold.seconds();
-    if (best_cold < 0 || cold_s < best_cold) best_cold = cold_s;
-
-    o.dir = bench::fresh_bench_dir("stream_resume");
-    io::FsFaultPlan plan;
-    plan.kill_point = "segment:rename:after";
-    plan.kill_hits = static_cast<std::uint64_t>(kill_seg);
-    io::FaultyFileOps faulty(io::real_file_ops(), plan);
-
-    Timer t_killed;
-    bool killed = false;
-    try {
-      (void)io::generate_durable(faulty, kp, o);
-    } catch (const io::killed_at&) {
-      killed = true;
+    Pair p;
+    io::StreamGenReport cold_rep, resumed_rep;
+    const auto run_cold = [&] {
+      io::StreamGenOptions o = opt;
+      o.dir = bench::fresh_bench_dir("stream_cold");
+      Timer t;
+      cold_rep = io::generate_durable(io::real_file_ops(), kp, o);
+      p.cold_s = t.seconds();
+    };
+    const auto run_interrupted = [&] {
+      io::StreamGenOptions o = opt;
+      o.dir = bench::fresh_bench_dir("stream_resume");
+      io::FsFaultPlan plan;
+      plan.kill_point = "segment:rename:after";
+      plan.kill_hits = static_cast<std::uint64_t>(kill_seg);
+      io::FaultyFileOps faulty(io::real_file_ops(), plan);
+      Timer t_killed;
+      bool killed = false;
+      try {
+        (void)io::generate_durable(faulty, kp, o);
+      } catch (const io::killed_at&) {
+        killed = true;
+      }
+      p.killed_s = t_killed.seconds();
+      o.resume = true;
+      Timer t_resume;
+      resumed_rep = io::generate_durable(io::real_file_ops(), kp, o);
+      p.resume_s = t_resume.seconds();
+      return killed;
+    };
+    bool killed = true;
+    if (r % 2 == 0) {
+      run_cold();
+      killed = run_interrupted();
+    } else {
+      killed = run_interrupted();
+      run_cold();
     }
-    const double killed_s = t_killed.seconds();
     if (!killed) {
       std::printf("FAULT PLAN DID NOT FIRE — instance too small?\n");
       return 1;
     }
 
-    o.resume = true;
-    Timer t_resume;
-    const auto rep = io::generate_durable(io::real_file_ops(), kp, o);
-    const double resume_s = t_resume.seconds();
-
-    identical = identical &&
-                rep.manifest.shards.size() == cold_rep.manifest.shards.size();
-    for (std::size_t s = 0; identical && s < rep.manifest.shards.size(); ++s) {
-      identical = rep.manifest.shards[s].chain_hash ==
-                      cold_rep.manifest.shards[s].chain_hash &&
-                  rep.manifest.shards[s].edges ==
-                      cold_rep.manifest.shards[s].edges;
+    const auto& got = resumed_rep.manifest.shards;
+    const auto& want = cold_rep.manifest.shards;
+    identical = identical && got.size() == want.size();
+    for (std::size_t s = 0; identical && s < got.size(); ++s) {
+      identical = got[s].chain_hash == want[s].chain_hash &&
+                  got[s].edges == want[s].edges;
     }
-
-    const double over = (killed_s + resume_s - cold_s) / cold_s * 100.0;
-    if (over < overhead_pct) {
-      overhead_pct = over;
-      best_total = killed_s + resume_s;
-      best_killed = killed_s;
-      best_resume = resume_s;
-    }
+    pairs.push_back(p);
   }
+  std::sort(pairs.begin(), pairs.end(), [](const Pair& a, const Pair& b) {
+    return a.overhead_pct() < b.overhead_pct();
+  });
+  const Pair& median = pairs[pairs.size() / 2];
+  const double overhead_pct = median.overhead_pct();
+  const double best_cold =
+      std::min_element(pairs.begin(), pairs.end(),
+                       [](const Pair& a, const Pair& b) {
+                         return a.cold_s < b.cold_s;
+                       })->cold_s;
   h.time_value("cold_generate", best_cold);
-  h.time_value("interrupted_total", best_total);
+  h.time_value("interrupted_total", median.killed_s + median.resume_s);
   const double eps = static_cast<double>(total_entries) / best_cold;
   h.counter("edges_per_sec", eps);
   std::printf("cold run: %s in %s  (%s records/sec, validation 1-in-%llu)\n",
@@ -146,13 +167,16 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(opt.sample_rate));
   h.counter("resume_overhead_pct", overhead_pct);
   h.counter("resume_bit_identical", identical ? 1.0 : 0.0);
-  std::printf("interrupted at segment %lld/%lld, resumed: %s + %s = %s  "
-              "(overhead %+.2f%% vs paired cold run, store %s)\n",
+  std::printf("interrupted at segment %lld/%lld, resumed (median of %zu "
+              "pairs): %s + %s = %s  (overhead %+.2f%% vs paired cold run "
+              "%s; pairs %+.1f%% .. %+.1f%%; store %s)\n",
               static_cast<long long>(kill_seg),
-              static_cast<long long>(total_segments),
-              format_duration(best_killed).c_str(),
-              format_duration(best_resume).c_str(),
-              format_duration(best_total).c_str(), overhead_pct,
+              static_cast<long long>(total_segments), pairs.size(),
+              format_duration(median.killed_s).c_str(),
+              format_duration(median.resume_s).c_str(),
+              format_duration(median.killed_s + median.resume_s).c_str(),
+              overhead_pct, format_duration(median.cold_s).c_str(),
+              pairs.front().overhead_pct(), pairs.back().overhead_pct(),
               identical ? "chain-hash identical" : "DIVERGED");
 
   // -------------------------------------------------------------------

@@ -168,48 +168,29 @@ TimingStats Harness::time_value(const std::string& section, double seconds) {
   return record_samples(section, {seconds});
 }
 
-void Harness::fold_registry(bool into_last) {
-  const auto snap = metrics::snapshot();
-  const auto counters = metrics::counters_snapshot();
-  if (snap.empty() && counters.empty()) return;
-  metrics::reset();
-  for (const auto& [kernel, stats] : snap) {
-    metrics::merge(total_[kernel], stats);
-    if (into_last) metrics::merge(last_[kernel], stats);
-  }
-  for (const auto& [name, value] : counters) {
-    total_counters_[name] += value;
-    if (into_last) last_counters_[name] += value;
-  }
-}
-
 void Harness::fold_obs_stats() {
   const auto snap = obs::stats_snapshot();
+  std::vector<std::pair<std::string, double>> folded;
   for (const auto& [name, value] : snap.counters) {
-    if (value == 0) continue;
+    if (value != 0) folded.emplace_back(name, static_cast<double>(value));
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    if (value != 0) folded.emplace_back(name, static_cast<double>(value));
+  }
+  for (const auto& [name, hist] : snap.histograms) {
+    if (hist.count == 0) continue;
+    folded.emplace_back(name + ".count", static_cast<double>(hist.count));
+    folded.emplace_back(name + ".p50_ms",
+                        static_cast<double>(hist.quantile(0.5)) / 1e6);
+    folded.emplace_back(name + ".p99_ms",
+                        static_cast<double>(hist.quantile(0.99)) / 1e6);
+  }
+  for (const auto& [name, value] : folded) {
     // emplace: a bench's explicit counter() under the same name wins.
-    counters_.emplace(name, static_cast<double>(value));
-  }
-  for (const auto& [name, hist] : snap.histograms) {
-    if (hist.count == 0) continue;
-    counters_.emplace(name + ".count", static_cast<double>(hist.count));
-    counters_.emplace(name + ".p50_ms",
-                      static_cast<double>(hist.quantile(0.5)) / 1e6);
-    counters_.emplace(name + ".p99_ms",
-                      static_cast<double>(hist.quantile(0.99)) / 1e6);
-  }
-  if (opt_.trace_path.empty()) return;
-  for (const auto& [name, value] : snap.counters) {
-    if (value == 0) continue;
-    trace::counter("stats", trace::intern(name),
-                   static_cast<double>(value));
-  }
-  for (const auto& [name, hist] : snap.histograms) {
-    if (hist.count == 0) continue;
-    trace::counter("stats", trace::intern(name + ".p50_ms"),
-                   static_cast<double>(hist.quantile(0.5)) / 1e6);
-    trace::counter("stats", trace::intern(name + ".p99_ms"),
-                   static_cast<double>(hist.quantile(0.99)) / 1e6);
+    counters_.emplace(name, value);
+    if (!opt_.trace_path.empty()) {
+      trace::counter("stats", trace::intern(name), value);
+    }
   }
 }
 
@@ -223,7 +204,7 @@ void Harness::label(const std::string& name, std::string value) {
 
 std::string Harness::to_json() const {
   std::string out = "{\n";
-  out += "  \"schema\": \"kronlab-bench-v1\",\n";
+  out += "  \"schema\": \"kronlab-bench-v2\",\n";
   out += "  \"name\": \"" + json_escape(name_) + "\",\n";
   out += std::string("  \"quick\": ") + (opt_.quick ? "true" : "false") +
          ",\n";
@@ -260,31 +241,13 @@ std::string Harness::to_json() const {
            "\"";
     first = false;
   }
-  out += labels_.empty() ? "},\n" : "\n  },\n";
-
-  out += "  \"parallel_metrics\": " +
-         metrics::report_json(last_, last_counters_) + ",\n";
-  out += "  \"parallel_metrics_total\": " +
-         metrics::report_json(total_, total_counters_) + "\n";
+  out += labels_.empty() ? "}\n" : "\n  }\n";
   out += "}\n";
   return out;
 }
 
 void Harness::export_trace() {
   if (opt_.trace_path.empty()) return;
-  // Metrics ride along as counter tracks so kernel totals line up with
-  // the spans that produced them on one timeline.
-  for (const auto& [kernel, stats] : total_) {
-    trace::counter("metrics", trace::intern(kernel + ".wall_seconds"),
-                   stats.wall_seconds);
-    trace::counter("metrics", trace::intern(kernel + ".busy_seconds"),
-                   stats.busy_seconds);
-    trace::counter("metrics", trace::intern(kernel + ".calls"),
-                   static_cast<double>(stats.calls));
-  }
-  for (const auto& [name, value] : total_counters_) {
-    trace::counter("metrics", trace::intern(name), value);
-  }
   const auto events = trace::snapshot();
   try {
     if (trace_dir_.empty()) {
@@ -315,9 +278,6 @@ void Harness::export_trace() {
 void Harness::write() {
   if (written_ || opt_.no_json) return;
   written_ = true;
-  // Catch kernels recorded after the final section; benches that only
-  // use time_value() get their whole run reported as the "last" snapshot.
-  fold_registry(/*into_last=*/last_.empty());
   fold_obs_stats();
   export_trace();
   const std::string path =

@@ -1,14 +1,9 @@
 """kronlab_analyze — semantic, project-specific static analysis.
 
-Two frontends lower C++ translation units into one small IR
-(`analyzer.ir`); the rules (`analyzer.rules`) only ever see the IR plus
-raw file text, so every rule behaves identically under both engines:
-
-* ``internal`` — a token/scope frontend with no dependencies beyond the
-  Python standard library.  This is the engine CI gates on and the one
-  that always works in a bare container.
-* ``clang`` — libclang Python bindings, when importable.  Sees through
-  macros and resolves real types; runs as an advisory cross-check.
+A token/scope frontend (`analyzer.internal_frontend`, no dependencies
+beyond the Python standard library) lowers C++ translation units into
+one small IR (`analyzer.ir`); the rules (`analyzer.rules`) only ever
+see the IR plus raw file text.
 
 See DESIGN.md §15 for the capability map and escape policy.
 """

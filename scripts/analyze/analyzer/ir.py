@@ -1,4 +1,4 @@
-"""The engine-neutral IR both frontends lower to.
+"""The IR the token/scope frontend lowers to.
 
 A translation unit becomes a list of `Function`s; each function is a
 flat, source-ordered list of events.  Scope structure is encoded in the

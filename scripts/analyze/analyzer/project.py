@@ -80,7 +80,7 @@ def files_from_tree(root: str,
 
 def headers_for(sources: List[str], root: str) -> List[str]:
     """The project headers belonging to the same tree as `sources` —
-    the internal engine analyzes them directly (no preprocessor)."""
+    the analyzer reads them directly (no preprocessor)."""
     src_set = set(sources)
     out = list(sources)
     for p in files_from_tree(root):

@@ -1,4 +1,4 @@
-"""The five project-specific rules, over the engine-neutral IR.
+"""The five project-specific rules, over the IR.
 
 Scope policy (documented in DESIGN.md §15):
 

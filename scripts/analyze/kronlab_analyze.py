@@ -1,14 +1,9 @@
 #!/usr/bin/env python3
 """kronlab_analyze — semantic AST-level analysis for the kronlab tree.
 
-Five project-specific rules (see `--list-rules`), two engines:
-
-* ``--engine internal`` (the CI gate): a dependency-free token/scope
-  frontend.  Deterministic everywhere, including bare containers.
-* ``--engine clang``: libclang Python bindings when importable.  If the
-  bindings or the shared library are absent the run is SKIPPED loudly
-  (exit 0 with a clear banner), never silently passed — the internal
-  engine remains the gate either way.
+Five project-specific rules (see `--list-rules`) over one engine: a
+dependency-free token/scope frontend, deterministic everywhere,
+including bare containers.
 
 Usage:
   kronlab_analyze.py --compdb build/compile_commands.json   # whole tree
@@ -16,7 +11,7 @@ Usage:
   kronlab_analyze.py --self-test                            # fixtures
   kronlab_analyze.py --emit-audit > scripts/analyze/memory_order.audit
 
-Exit codes: 0 clean (or loud skip), 1 findings, 2 usage/internal error.
+Exit codes: 0 clean, 1 findings, 2 usage/internal error.
 
 Suppression: `// kronlab-analyze: allow(<rule>) <justification>` on the
 finding's line or the line above.  The justification is mandatory.
@@ -32,7 +27,7 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from analyzer import RULES, __version__  # noqa: E402
-from analyzer import clang_frontend, internal_frontend  # noqa: E402
+from analyzer import internal_frontend  # noqa: E402
 from analyzer import rules as rules_mod  # noqa: E402
 from analyzer.ir import Finding  # noqa: E402
 from analyzer.project import (AllowIndex, files_from_compdb,  # noqa: E402
@@ -71,9 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--compdb", help="compile_commands.json to take the "
                                      "file list from")
     ap.add_argument("--root", help="repository root (default: auto)")
-    ap.add_argument("--engine", choices=("auto", "internal", "clang"),
-                    default="auto",
-                    help="auto = internal (the deterministic gate)")
     ap.add_argument("--rules", help="comma-separated subset of rules")
     ap.add_argument("--audit",
                     help="memory-order audit file (default: "
@@ -81,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--report", help="write a JSON report here")
     ap.add_argument("--list-rules", action="store_true")
     ap.add_argument("--self-test", action="store_true",
-                    help="run the fixture battery on every available "
-                         "engine")
+                    help="run the fixture battery")
     ap.add_argument("--emit-audit", action="store_true",
                     help="print a memory-order audit skeleton for the "
                          "current tree and exit")
@@ -100,13 +91,7 @@ def list_rules() -> None:
                 print(f"      {line.rstrip('.')}.")
 
 
-def lower(engine: str, files, root, compdb_dir=None):
-    if engine == "clang":
-        return clang_frontend.lower_files(files, compdb_dir)
-    return internal_frontend.lower_files(files)
-
-
-def analyze_tree(args, engine: str) -> int:
+def analyze_tree(args) -> int:
     root = os.path.abspath(args.root or repo_root())
     if args.compdb:
         sources = files_from_compdb(args.compdb)
@@ -116,9 +101,7 @@ def analyze_tree(args, engine: str) -> int:
     files = [f for f in files if os.path.exists(f)]
     audit = args.audit or os.path.join(root, "scripts", "analyze",
                                        "memory_order.audit")
-    compdb_dir = os.path.dirname(os.path.abspath(args.compdb)) \
-        if args.compdb else None
-    functions, _mutexes = lower(engine, files, root, compdb_dir)
+    functions, _mutexes = internal_frontend.lower_files(files)
     if args.emit_audit:
         sys.stdout.write(rules_mod.emit_audit_skeleton(
             [fn for fn in functions
@@ -132,7 +115,6 @@ def analyze_tree(args, engine: str) -> int:
                                    allow, audit)
     report = {
         "version": __version__,
-        "engine": engine,
         "rules": selected,
         "files": len(files),
         "functions": len(functions),
@@ -150,7 +132,7 @@ def analyze_tree(args, engine: str) -> int:
     if len(findings) > args.max_findings:
         print(f"... and {len(findings) - args.max_findings} more")
     n = len(findings)
-    print(f"kronlab_analyze[{engine}]: {len(files)} files, "
+    print(f"kronlab_analyze: {len(files)} files, "
           f"{len(functions)} functions, {n} finding(s)")
     return 1 if findings else 0
 
@@ -177,16 +159,9 @@ def _unit_expectations(paths) -> dict:
     return want
 
 
-def run_self_test(args) -> int:
+def run_self_test() -> int:
     fixtures = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "fixtures")
-    engines = ["internal"]
-    ok, why = clang_frontend.available()
-    if ok:
-        engines.append("clang")
-    else:
-        print(f"kronlab_analyze: clang engine SKIPPED ({why}); "
-              "self-testing the internal engine only")
     failures = 0
     units = 0
     for rule in sorted(os.listdir(fixtures)):
@@ -210,32 +185,25 @@ def run_self_test(args) -> int:
             units += 1
             want = {r: n for r, n in _unit_expectations(unit).items()
                     if n > 0}
-            for engine in engines:
-                try:
-                    functions, _m = lower(engine, unit, unit_root)
-                except RuntimeError as e:
-                    print(f"  SKIP {rule}/{entry} [{engine}]: {e}")
-                    continue
-                allow = AllowIndex()
-                got_list = rules_mod.run_rules(
-                    [rule] if rule in RULES else list(RULES),
-                    functions, unit, unit_root, allow, audit,
-                    scope_all=True)
-                got: dict = {}
+            functions, _m = internal_frontend.lower_files(unit)
+            got_list = rules_mod.run_rules(
+                [rule] if rule in RULES else list(RULES),
+                functions, unit, unit_root, AllowIndex(), audit,
+                scope_all=True)
+            got: dict = {}
+            for f in got_list:
+                got[f.rule] = got.get(f.rule, 0) + 1
+            if got != want:
+                failures += 1
+                print(f"FAIL {rule}/{entry}: "
+                      f"expected {want or '{}'}, got {got or '{}'}")
                 for f in got_list:
-                    got[f.rule] = got.get(f.rule, 0) + 1
-                if got != want:
-                    failures += 1
-                    print(f"FAIL {rule}/{entry} [{engine}]: "
-                          f"expected {want or '{}'}, got {got or '{}'}")
-                    for f in got_list:
-                        print("    " + Finding(
-                            f.rule, os.path.basename(f.file), f.line,
-                            f.message).render())
-                else:
-                    print(f"ok   {rule}/{entry} [{engine}]")
-    print(f"self-test: {units} fixture unit(s), "
-          f"{len(engines)} engine(s), {failures} failure(s)")
+                    print("    " + Finding(
+                        f.rule, os.path.basename(f.file), f.line,
+                        f.message).render())
+            else:
+                print(f"ok   {rule}/{entry}")
+    print(f"self-test: {units} fixture unit(s), {failures} failure(s)")
     return 1 if failures else 0
 
 
@@ -245,23 +213,9 @@ def main(argv=None) -> int:
         list_rules()
         return 0
     if args.self_test:
-        return run_self_test(args)
-    engine = args.engine
-    if engine == "auto":
-        engine = "internal"
-    if engine == "clang":
-        ok, why = clang_frontend.available()
-        if not ok:
-            print("=" * 64)
-            print("kronlab_analyze: clang engine SKIPPED — libclang is "
-                  "not usable here:")
-            print(f"  {why}")
-            print("The internal engine remains the enforced gate "
-                  "(run with --engine internal).")
-            print("=" * 64)
-            return 0
+        return run_self_test()
     try:
-        return analyze_tree(args, engine)
+        return analyze_tree(args)
     except ValueError as e:
         print(f"kronlab_analyze: {e}", file=sys.stderr)
         return 2

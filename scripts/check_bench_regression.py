@@ -3,7 +3,7 @@
 
 Usage: check_bench_regression.py --baselines DIR CURRENT.json [...]
 
-Each CURRENT.json is a kronlab-bench-v1 dump (see bench/harness); it is
+Each CURRENT.json is a kronlab-bench-v2 dump (see bench/harness); it is
 matched to DIR/BENCH_<name>.json by its embedded bench name.  For every
 metric named in the per-bench spec below the current value must stay
 inside the baseline's tolerance band, else the script prints the
@@ -120,8 +120,8 @@ def load(path: Path) -> dict:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise Regression(f"{path}: unreadable: {e}")
-    if doc.get("schema") != "kronlab-bench-v1":
-        raise Regression(f"{path}: not a kronlab-bench-v1 dump")
+    if doc.get("schema") != "kronlab-bench-v2":
+        raise Regression(f"{path}: not a kronlab-bench-v2 dump")
     return doc
 
 

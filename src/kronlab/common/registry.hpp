@@ -30,16 +30,14 @@ namespace kronlab::env {
 /// Worker-thread count of the global pool (default: hardware concurrency).
 inline constexpr const char* kThreads = "KRONLAB_THREADS";
 
-/// Enable per-kernel parallel-runtime metrics collection.
-inline constexpr const char* kMetrics = "KRONLAB_METRICS";
-
 /// Enable the tracing subsystem (spans/instants/counters).
 inline constexpr const char* kTrace = "KRONLAB_TRACE";
 
 /// Per-thread trace ring-buffer capacity (events).
 inline constexpr const char* kTraceBuffer = "KRONLAB_TRACE_BUFFER";
 
-/// Enable the live-telemetry metrics registry (counters/gauges/histograms).
+/// Enable the live-telemetry registry (counters/gauges/histograms and the
+/// per-kernel KernelScope totals); default on, 0 disables.
 inline constexpr const char* kStats = "KRONLAB_STATS";
 
 /// Structured-log threshold: debug|info|warn|error|off (default info).

@@ -8,7 +8,6 @@
 #include "kronlab/common/registry.hpp"
 #include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
-#include "kronlab/parallel/metrics.hpp"
 
 namespace kronlab::dist {
 
@@ -207,23 +206,21 @@ Aggregator::recv_frames(std::chrono::milliseconds timeout) {
 }
 
 void Aggregator::publish_metrics() const {
-  if (!metrics::enabled()) return;
-  metrics::counter_add("agg_frames_enqueued",
-                       static_cast<double>(stats_.frames_enqueued));
-  metrics::counter_add("agg_rows_coalesced",
-                       static_cast<double>(stats_.rows_coalesced));
-  metrics::counter_add("agg_single_flushes",
-                       static_cast<double>(stats_.single_flushes));
-  metrics::counter_add("agg_batches_sent",
-                       static_cast<double>(stats_.batches_sent));
-  metrics::counter_add("agg_capacity_flushes",
-                       static_cast<double>(stats_.capacity_flushes));
-  metrics::counter_add("agg_deadline_flushes",
-                       static_cast<double>(stats_.deadline_flushes));
-  metrics::counter_add("agg_manual_flushes",
-                       static_cast<double>(stats_.manual_flushes));
-  metrics::counter_add("agg_bytes_saved",
-                       static_cast<double>(stats_.bytes_saved));
+  static constexpr std::pair<const char*, count_t AggregatorStats::*>
+      kTotals[] = {
+          {"dist/agg_frames_enqueued", &AggregatorStats::frames_enqueued},
+          {"dist/agg_rows_coalesced", &AggregatorStats::rows_coalesced},
+          {"dist/agg_single_flushes", &AggregatorStats::single_flushes},
+          {"dist/agg_batches_sent", &AggregatorStats::batches_sent},
+          {"dist/agg_capacity_flushes", &AggregatorStats::capacity_flushes},
+          {"dist/agg_deadline_flushes", &AggregatorStats::deadline_flushes},
+          {"dist/agg_manual_flushes", &AggregatorStats::manual_flushes},
+          {"dist/agg_bytes_saved", &AggregatorStats::bytes_saved},
+      };
+  if (!obs::stats_enabled()) return;
+  for (const auto& [name, field] : kTotals) {
+    obs::counter(name).add(static_cast<std::uint64_t>(stats_.*field));
+  }
 }
 
 } // namespace kronlab::dist

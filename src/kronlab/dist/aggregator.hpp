@@ -72,8 +72,8 @@ struct AggregatorOptions {
   [[nodiscard]] static AggregatorOptions from_env();
 };
 
-/// Flush-reason and coalescing counters, surfaced through
-/// parallel/metrics (agg_* counters) and ExchangeStats/RecoveryReport.
+/// Flush-reason and coalescing counters, surfaced through obs/stats
+/// (dist/agg_* counters) and ExchangeStats/RecoveryReport.
 struct AggregatorStats {
   count_t frames_enqueued = 0;  ///< frames handed to enqueue()
   count_t rows_coalesced = 0;   ///< frames that shipped inside a batch
@@ -128,8 +128,8 @@ public:
 
   [[nodiscard]] const AggregatorStats& stats() const { return stats_; }
 
-  /// Publish stats() as agg_* named counters in parallel/metrics (no-op
-  /// while metrics recording is off).
+  /// Add stats() to the dist/agg_* counters of obs/stats (no-op while
+  /// stats are off).
   void publish_metrics() const;
 
   // -- wire format (exposed for tests and the protocol's validation) ----

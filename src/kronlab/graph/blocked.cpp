@@ -7,7 +7,7 @@
 
 #include "kronlab/common/error.hpp"
 #include "kronlab/grb/ops.hpp"
-#include "kronlab/parallel/metrics.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::graph {
@@ -149,7 +149,7 @@ private:
 } // namespace
 
 DegreeOrder::DegreeOrder(const Adjacency& a, bool with_entry_map) {
-  metrics::KernelScope scope("graph/degree_order");
+  obs::KernelScope scope("graph/degree_order");
   const index_t n = a.nrows();
   const auto un = static_cast<std::size_t>(n);
   rank.resize(un);
@@ -271,7 +271,7 @@ DegreeOrder::DegreeOrder(const Adjacency& a, bool with_entry_map) {
 
 grb::Vector<count_t> vertex_butterflies_blocked(const Adjacency& a) {
   require_simple(a, "vertex_butterflies_blocked");
-  metrics::KernelScope scope("graph/vertex_butterflies_blocked");
+  obs::KernelScope scope("graph/vertex_butterflies_blocked");
   const index_t n = a.nrows();
   grb::Vector<count_t> out(n, 0);
   if (n == 0) return out;
@@ -323,7 +323,7 @@ grb::Vector<count_t> vertex_butterflies_blocked(const Adjacency& a) {
 
 grb::Csr<count_t> edge_butterflies_blocked(const Adjacency& a) {
   require_simple(a, "edge_butterflies_blocked");
-  metrics::KernelScope scope("graph/edge_butterflies_blocked");
+  obs::KernelScope scope("graph/edge_butterflies_blocked");
   if (a.nrows() == 0 || a.nnz() == 0) return a;
   const DegreeOrder ord(a, /*with_entry_map=*/true);
   const Adjacency& g = ord.relabeled;
@@ -346,7 +346,7 @@ grb::Csr<count_t> edge_butterflies_blocked(const Adjacency& a) {
   std::vector<std::vector<count_t>> partials(global_pool().size());
   std::vector<count_t>& rvals = partials[0];
   {
-    metrics::KernelScope phase1("graph/edge_blocked_phase1");
+    obs::KernelScope phase1("graph/edge_blocked_phase1");
     struct Scratch {
       WedgeAccumulator acc;
       std::vector<count_t>* rpart;
@@ -406,7 +406,7 @@ grb::Csr<count_t> edge_butterflies_blocked(const Adjacency& a) {
   // and sweeping rows j in ascending order visits each i's mirrors in the
   // same order, so a per-row cursor pairs them without searching.
   {
-    metrics::KernelScope phase2("graph/edge_blocked_phase2");
+    obs::KernelScope phase2("graph/edge_blocked_phase2");
     std::vector<offset_t> cursor(static_cast<std::size_t>(n));
     for (index_t i = 0; i < n; ++i) {
       const auto cols = g.row_cols(i);
@@ -439,7 +439,7 @@ grb::Csr<count_t> edge_butterflies_blocked(const Adjacency& a) {
   // int64 arrays, as are the spent worker images of phase 1; reusing
   // those, already resident, skips a serial first-touch pass over fresh
   // pages.  entry_map is a bijection, so the scatter writes every value.
-  metrics::KernelScope phase3("graph/edge_blocked_phase3");
+  obs::KernelScope phase3("graph/edge_blocked_phase3");
   static_assert(std::is_same_v<index_t, count_t>);
   const auto take_buffer = [&] {
     if (partials.size() > 1 && !partials.back().empty()) {

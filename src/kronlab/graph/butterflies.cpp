@@ -5,7 +5,7 @@
 #include "kronlab/common/error.hpp"
 #include "kronlab/graph/blocked.hpp"
 #include "kronlab/grb/ops.hpp"
-#include "kronlab/parallel/metrics.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::graph {
@@ -55,18 +55,18 @@ void for_each_wedge_table(const Adjacency& a, WedgeScratch& ws, index_t lo,
 } // namespace
 
 grb::Vector<count_t> vertex_butterflies(const Adjacency& a) {
-  metrics::KernelScope scope("graph/vertex_butterflies");
+  obs::KernelScope scope("graph/vertex_butterflies");
   return vertex_butterflies_blocked(a);
 }
 
 grb::Csr<count_t> edge_butterflies(const Adjacency& a) {
-  metrics::KernelScope scope("graph/edge_butterflies");
+  obs::KernelScope scope("graph/edge_butterflies");
   return edge_butterflies_blocked(a);
 }
 
 grb::Vector<count_t> vertex_butterflies_reference(const Adjacency& a) {
   require_simple(a, "vertex_butterflies_reference");
-  metrics::KernelScope scope("graph/vertex_butterflies_reference");
+  obs::KernelScope scope("graph/vertex_butterflies_reference");
   grb::Vector<count_t> s(a.nrows(), 0);
   parallel_for_range_dynamic_scratch(
       0, a.nrows(), [&](std::size_t) { return WedgeScratch(a.nrows()); },
@@ -88,7 +88,7 @@ grb::Vector<count_t> vertex_butterflies_reference(const Adjacency& a) {
 
 grb::Csr<count_t> edge_butterflies_reference(const Adjacency& a) {
   require_simple(a, "edge_butterflies_reference");
-  metrics::KernelScope scope("graph/edge_butterflies_reference");
+  obs::KernelScope scope("graph/edge_butterflies_reference");
   grb::Csr<count_t> out = a;
   auto& vals = out.vals();
   const auto& rp = out.row_ptr();

@@ -4,8 +4,8 @@
 
 #include "kronlab/grb/binary_io.hpp" // fnv1a64
 #include "kronlab/obs/log.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
-#include "kronlab/parallel/metrics.hpp"
 
 namespace kronlab::io {
 
@@ -157,7 +157,7 @@ StreamGenReport generate_durable(FileOps& ops,
                                  const kron::BipartiteKronecker& kp,
                                  const StreamGenOptions& opt) {
   KRONLAB_TRACE_SPAN("io", "generate_durable");
-  metrics::KernelScope kernel("durable_stream_gen");
+  obs::KernelScope kernel("durable_stream_gen");
   KRONLAB_REQUIRE(!opt.dir.empty(), "output directory required");
   KRONLAB_REQUIRE(opt.shards >= 1, "need at least one shard");
   KRONLAB_REQUIRE(opt.segment_edges >= 1, "segment_edges must be >= 1");
@@ -228,7 +228,7 @@ VerifyReport verify_store(FileOps& ops,
                           const kron::BipartiteKronecker& kp,
                           const StreamGenOptions& opt) {
   KRONLAB_TRACE_SPAN("io", "verify_store");
-  metrics::KernelScope kernel("durable_verify");
+  obs::KernelScope kernel("durable_verify");
   const auto man = read_manifest(ops, opt.dir);
   if (!man) {
     throw io_error("durable store: " + opt.dir + " has no manifest");

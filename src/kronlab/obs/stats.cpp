@@ -9,7 +9,7 @@
 #include <memory>
 
 #include "kronlab/common/registry.hpp"
-#include "kronlab/common/sync.hpp"
+#include "kronlab/obs/trace.hpp"
 
 namespace kronlab::obs {
 namespace {
@@ -212,6 +212,67 @@ void stats_reset() {
       for (auto& b : shard->buckets) b.store(0, std::memory_order_relaxed);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// KernelScope
+
+namespace {
+thread_local KernelScope* tl_kernel = nullptr;
+} // namespace
+
+KernelScope::KernelScope(std::string_view name) : name_(name) {
+  recording_ = stats_enabled();
+  if (trace::enabled()) trace_name_ = trace::intern(name_);
+  if (!recording_ && trace_name_ == nullptr) return;
+  current_ = true;
+  parent_ = tl_kernel;
+  tl_kernel = this;
+  start_ns_ = timer::now_ns();
+}
+
+KernelScope::~KernelScope() {
+  if (!current_) return;
+  tl_kernel = parent_;
+  const std::uint64_t end_ns = timer::now_ns();
+  if (trace_name_ != nullptr) {
+    trace::emit_span("kernel", trace_name_, start_ns_, end_ns);
+  }
+  if (!recording_) return;
+  // The fork/join barrier guarantees no note_worker() is still running,
+  // but the measurements are guarded state: read them under mu_ rather
+  // than relying on that external invariant.
+  std::uint64_t busy = 0, slowest = 0, chunks = 0, items = 0;
+  std::size_t workers = 0;
+  {
+    MutexLock lock(mu_);
+    for (const std::uint64_t b : worker_busy_ns_) {
+      busy += b;
+      slowest = std::max(slowest, b);
+    }
+    chunks = chunks_;
+    items = items_;
+    workers = worker_busy_ns_.size();
+  }
+  const std::string key = "kernel/" + std::string(name_);
+  histogram(key).record(end_ns - start_ns_);
+  counter(key + "/busy_ns").add(busy);
+  counter(key + "/max_worker_ns").add(slowest);
+  counter(key + "/chunks").add(chunks);
+  counter(key + "/items").add(items);
+  gauge(key + "/workers").raise(static_cast<std::int64_t>(workers));
+}
+
+KernelScope* KernelScope::current() { return tl_kernel; }
+
+void KernelScope::note_worker(std::size_t worker, std::uint64_t busy_ns,
+                              std::uint64_t chunks, std::uint64_t items) {
+  if (!recording_) return;
+  MutexLock lock(mu_);
+  if (worker_busy_ns_.size() <= worker) worker_busy_ns_.resize(worker + 1, 0);
+  worker_busy_ns_[worker] += busy_ns;
+  chunks_ += chunks;
+  items_ += items;
 }
 
 // ---------------------------------------------------------------------------

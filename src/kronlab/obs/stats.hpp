@@ -5,8 +5,8 @@
 // happened, in order" after the fact, the stats registry answers "what is
 // happening right now" — it is what the KRNLSRV1 SERVER_STATS admin
 // request snapshots on a running daemon, what the bench harness folds
-// into kronlab-bench-v1 counters (p50/p99 per instrumented phase), and
-// what the stall watchdog samples.
+// into kronlab-bench-v2 counters (p50/p99 per instrumented phase and the
+// per-kernel KernelScope totals), and what the stall watchdog samples.
 //
 // Hot-path contract (the trace idiom, PR 4):
 //
@@ -46,6 +46,7 @@
 #include <string_view>
 #include <vector>
 
+#include "kronlab/common/sync.hpp"
 #include "kronlab/common/timer.hpp"
 
 namespace kronlab::obs {
@@ -80,6 +81,14 @@ public:
   }
   void add(std::int64_t delta) {
     if (stats_enabled()) value_.fetch_add(delta, std::memory_order_relaxed);
+  }
+  /// Raise the level to at least `v` (a high-water mark); relaxed CAS.
+  void raise(std::int64_t v) {
+    if (!stats_enabled()) return;
+    std::int64_t cur = value_.load(std::memory_order_relaxed);
+    while (cur < v && !value_.compare_exchange_weak(
+                          cur, v, std::memory_order_relaxed)) {
+    }
   }
   [[nodiscard]] std::int64_t value() const {
     return value_.load(std::memory_order_relaxed);
@@ -192,6 +201,60 @@ public:
 private:
   Histogram* h_;
   std::uint64_t begin_ns_;
+};
+
+/// RAII guard naming the kernel running on this thread: the stats client
+/// of the parallel runtime.  The dynamic dispatchers in parallel_for.hpp
+/// report each worker's busy time, chunks and items to the innermost
+/// scope.  On exit the scope records, on the thread that opened it and
+/// never on the workers it dispatched to (so they gain no histogram
+/// shards):
+///
+///   histogram kernel/<name>                wall time in ns; count = calls
+///   counter   kernel/<name>/busy_ns        summed worker busy time
+///   counter   kernel/<name>/max_worker_ns  summed slowest-worker time
+///   counter   kernel/<name>/chunks         dispatched chunks
+///   counter   kernel/<name>/items          loop iterations they covered
+///   gauge     kernel/<name>/workers        widest parallel region seen
+///
+/// Load imbalance is max_worker_ns * workers / busy_ns (>= 1).  While
+/// stats are off the scope records nothing and reads no clock.  While
+/// tracing is on it also emits one span (cat "kernel") and lends its
+/// name to its workers' "parallel" spans.  `name` must outlive the
+/// scope; call sites pass string literals.
+class KernelScope {
+public:
+  explicit KernelScope(std::string_view name);
+  ~KernelScope();
+
+  KernelScope(const KernelScope&) = delete;
+  KernelScope& operator=(const KernelScope&) = delete;
+
+  /// Innermost open scope on this thread (nullptr when none, or when
+  /// stats and trace were both off at construction).  Dispatchers read
+  /// this on the calling thread before forking.
+  [[nodiscard]] static KernelScope* current();
+
+  /// Report one worker's share of a parallel region run under this
+  /// scope.  Thread-safe; a no-op unless the scope records.
+  void note_worker(std::size_t worker, std::uint64_t busy_ns,
+                   std::uint64_t chunks, std::uint64_t items);
+
+  /// Arena-interned kernel name when tracing was on at construction
+  /// (nullptr otherwise); labels the dispatchers' worker spans.
+  [[nodiscard]] const char* trace_name() const { return trace_name_; }
+
+private:
+  std::string_view name_;
+  std::uint64_t start_ns_ = 0;
+  const char* trace_name_ = nullptr;
+  KernelScope* parent_ = nullptr;
+  bool current_ = false;   ///< pushed on this thread's scope chain
+  bool recording_ = false; ///< stats were on at construction
+  Mutex mu_; ///< guards the per-region worker measurements below
+  std::vector<std::uint64_t> worker_busy_ns_ GUARDED_BY(mu_); ///< by worker
+  std::uint64_t chunks_ GUARDED_BY(mu_) = 0;
+  std::uint64_t items_ GUARDED_BY(mu_) = 0;
 };
 
 /// Look up (or create) a metric by name.  Names are hierarchical by

@@ -17,8 +17,8 @@
 //    O(n) allocations per worker instead of per chunk.
 //
 // Dynamic dispatchers report per-worker busy time and chunk counts to the
-// innermost metrics::KernelScope (see parallel/metrics.hpp) when metrics
-// are enabled.  Nested parallel loops (a parallel kernel called from
+// innermost obs::KernelScope (see obs/stats.hpp), which records them into
+// the stats registry.  Nested parallel loops (a parallel kernel called from
 // inside another parallel region) are detected and run serially on the
 // calling worker, covering their whole range.
 
@@ -30,8 +30,8 @@
 
 #include "kronlab/common/timer.hpp"
 #include "kronlab/common/types.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
-#include "kronlab/parallel/metrics.hpp"
 #include "kronlab/parallel/thread_pool.hpp"
 
 namespace kronlab {
@@ -124,15 +124,15 @@ void parallel_for_range_dynamic_scratch(index_t lo, index_t hi,
                                         index_t grain = 0) {
   const index_t n = hi - lo;
   if (n <= 0) return;
-  metrics::KernelScope* const scope = metrics::KernelScope::current();
+  obs::KernelScope* const scope = obs::KernelScope::current();
   const std::size_t threads = pool.size();
   const index_t g = dynamic_grain(n, threads, grain);
   if (threads == 1 || n <= g || ThreadPool::in_parallel_region()) {
-    Timer timer;
+    const std::uint64_t begin_ns = scope ? timer::now_ns() : 0;
     auto scratch = make_scratch(std::size_t{0});
     body(scratch, lo, hi);
     if (scope) {
-      scope->note_worker(0, timer.seconds(), 1,
+      scope->note_worker(0, timer::now_ns() - begin_ns, 1,
                          static_cast<std::uint64_t>(n));
     }
     return;
@@ -147,7 +147,7 @@ void parallel_for_range_dynamic_scratch(index_t lo, index_t hi,
           : "workers";
   pool.run([&](std::size_t id) {
     trace::Span tspan("parallel", span_name);
-    Timer timer;
+    const std::uint64_t begin_ns = scope ? timer::now_ns() : 0;
     std::uint64_t chunks = 0;
     std::uint64_t items = 0;
     auto scratch = make_scratch(id);
@@ -164,7 +164,9 @@ void parallel_for_range_dynamic_scratch(index_t lo, index_t hi,
       ++chunks;
       items += static_cast<std::uint64_t>(e - b);
     }
-    if (scope) scope->note_worker(id, timer.seconds(), chunks, items);
+    if (scope) {
+      scope->note_worker(id, timer::now_ns() - begin_ns, chunks, items);
+    }
   });
 }
 

@@ -10,7 +10,6 @@
 #include "kronlab/obs/log.hpp"
 #include "kronlab/obs/trace.hpp"
 #include "kronlab/obs/watchdog.hpp"
-#include "kronlab/parallel/metrics.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::serve {
@@ -248,7 +247,6 @@ void Server::run_on_slot(Slot& slot, Connection& conn,
 void Server::process(Slot& slot, Connection& conn,
                      const std::vector<word_t>& req) {
   trace::Span span("serve", "request");
-  metrics::KernelScope scope("serve/request");
   obs::LatencyScope latency(*request_hist_);
   obs::StallGuard stall_guard("serve/request");
   std::vector<word_t>& out = slot.frame;

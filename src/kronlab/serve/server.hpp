@@ -22,9 +22,9 @@
 //   * per slot, a fixed-size direct-mapped table of vertex records in
 //     front of the oracle.  Only the slot's holder touches it, so it
 //     takes no lock; fan-out batches call the oracle directly;
-//   * per-request obs/trace spans and parallel/metrics kernel scopes, so
-//     a traced run shows one "request" span per frame and the bench
-//     harness folds serve-side dispatch stats into its JSON.
+//   * one obs/trace span and one obs/stats latency sample per request,
+//     so a traced run shows exactly one "request" span per frame and the
+//     bench harness folds serve-side stats into its JSON.
 //
 // Shutdown (stop(), also the SIGTERM path of kronlab_served) is a
 // graceful drain: stop accepting, half-close every connection's read

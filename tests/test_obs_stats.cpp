@@ -29,6 +29,7 @@
 #include "kronlab/obs/log.hpp"
 #include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/watchdog.hpp"
+#include "kronlab/parallel/parallel_for.hpp"
 #include "kronlab/serve/client.hpp"
 #include "kronlab/serve/server.hpp"
 #include "kronlab/serve/transport.hpp"
@@ -132,6 +133,11 @@ TEST(ObsRegistry, CounterGaugeBasics) {
   g.add(-3);
   EXPECT_EQ(c.value(), 42u);
   EXPECT_EQ(g.value(), 4);
+  g.raise(2); // a high-water mark never lowers the level
+  EXPECT_EQ(g.value(), 4);
+  g.raise(9);
+  EXPECT_EQ(g.value(), 9);
+  g.set(4);
 
   const auto snap = stats_snapshot();
   EXPECT_EQ(snap.counters.at("test/basics_counter"), 42u);
@@ -155,14 +161,19 @@ TEST(ObsRegistry, DisabledRegistryIsInert) {
   g.set(100);
   h.record(100);
   {
-    // A LatencyScope opened while disabled records nothing, even if
-    // stats are re-enabled before it closes.
+    // A LatencyScope or KernelScope opened while disabled records
+    // nothing, even if stats are re-enabled before it closes.
+    KernelScope kernel("test/gated_kernel");
+    parallel_for_dynamic(0, 100, [](index_t) {});
     LatencyScope scope(h);
     set_stats_enabled(true);
   }
   EXPECT_EQ(c.value(), 0u);
   EXPECT_EQ(g.value(), 0);
-  EXPECT_EQ(stats_snapshot().histograms.at("test/gated_hist").count, 0u);
+  const auto snap = stats_snapshot();
+  EXPECT_EQ(snap.histograms.at("test/gated_hist").count, 0u);
+  EXPECT_EQ(snap.histograms.count("kernel/test/gated_kernel"), 0u);
+  EXPECT_EQ(snap.counters.count("kernel/test/gated_kernel/items"), 0u);
 
   c.add(1); // re-enabled: records again
   EXPECT_EQ(c.value(), 1u);

@@ -9,7 +9,7 @@
 #include <set>
 
 #include "kronlab/common/error.hpp"
-#include "kronlab/parallel/metrics.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 #include "kronlab/parallel/thread_pool.hpp"
 
@@ -243,80 +243,80 @@ TEST(DynamicReduce, EmptyRangeReturnsInit) {
 }
 
 // ---------------------------------------------------------------------
-// Metrics layer.
+// Per-kernel stats: obs::KernelScope records dispatch into obs/stats.
+
+namespace {
+
+/// Value of the registry counter `name`, 0 when it was never created.
+std::uint64_t counter_value(const obs::StatsSnapshot& snap,
+                            const std::string& name) {
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+} // namespace
 
 TEST(Metrics, KernelScopeRecordsChunksItemsAndImbalance) {
-  const bool was_enabled = metrics::enabled();
-  metrics::set_enabled(true);
-  metrics::reset();
+  obs::set_stats_enabled(true);
+  obs::stats_reset();
   ThreadPool pool(4);
   const index_t n = 5000;
   {
-    metrics::KernelScope scope("test/metrics_kernel");
+    obs::KernelScope scope("test/metrics_kernel");
     parallel_for_dynamic(0, n, [](index_t) {}, pool, /*grain=*/50);
   }
-  const auto snap = metrics::snapshot();
-  metrics::set_enabled(was_enabled);
-  const auto it = snap.find("test/metrics_kernel");
-  ASSERT_NE(it, snap.end());
-  EXPECT_EQ(it->second.calls, 1u);
-  EXPECT_EQ(it->second.items, static_cast<std::uint64_t>(n));
-  EXPECT_EQ(it->second.chunks, static_cast<std::uint64_t>(n / 50));
-  EXPECT_GE(it->second.max_workers, 1u);
-  EXPECT_LE(it->second.max_workers, 4u);
-  EXPECT_GE(it->second.imbalance(), 1.0);
-  EXPECT_GE(it->second.wall_seconds, 0.0);
-  EXPECT_GE(it->second.busy_seconds, 0.0);
+  const auto snap = obs::stats_snapshot();
+  const std::string key = "kernel/test/metrics_kernel";
+  ASSERT_TRUE(snap.histograms.count(key));
+  EXPECT_EQ(snap.histograms.at(key).count, 1u); // calls
+  EXPECT_EQ(counter_value(snap, key + "/items"),
+            static_cast<std::uint64_t>(n));
+  EXPECT_EQ(counter_value(snap, key + "/chunks"),
+            static_cast<std::uint64_t>(n / 50));
+  const std::int64_t workers = snap.gauges.at(key + "/workers");
+  EXPECT_GE(workers, 1);
+  EXPECT_LE(workers, 4);
+  // Imbalance (slowest worker over mean worker) is at least 1.
+  const std::uint64_t busy = counter_value(snap, key + "/busy_ns");
+  const std::uint64_t slowest = counter_value(snap, key + "/max_worker_ns");
+  EXPECT_LE(slowest, busy);
+  EXPECT_GE(slowest * static_cast<std::uint64_t>(workers), busy);
 }
 
 TEST(Metrics, NestedScopesAttributeToInnermost) {
-  const bool was_enabled = metrics::enabled();
-  metrics::set_enabled(true);
-  metrics::reset();
+  obs::set_stats_enabled(true);
+  obs::stats_reset();
   ThreadPool pool(2);
   {
-    metrics::KernelScope outer("test/outer");
+    obs::KernelScope outer("test/outer");
     {
-      metrics::KernelScope inner("test/inner");
+      obs::KernelScope inner("test/inner");
       parallel_for_dynamic(0, 1000, [](index_t) {}, pool, /*grain=*/10);
     }
   }
-  const auto snap = metrics::snapshot();
-  metrics::set_enabled(was_enabled);
-  ASSERT_TRUE(snap.count("test/inner"));
-  ASSERT_TRUE(snap.count("test/outer"));
-  EXPECT_EQ(snap.at("test/inner").items, 1000u);
-  EXPECT_EQ(snap.at("test/outer").items, 0u); // dispatch went to inner
-}
-
-TEST(Metrics, DisabledScopesRecordNothing) {
-  const bool was_enabled = metrics::enabled();
-  metrics::set_enabled(false);
-  metrics::reset();
-  {
-    metrics::KernelScope scope("test/disabled");
-    parallel_for_dynamic(0, 100, [](index_t) {});
-  }
-  const auto snap = metrics::snapshot();
-  metrics::set_enabled(was_enabled);
-  EXPECT_EQ(snap.count("test/disabled"), 0u);
+  const auto snap = obs::stats_snapshot();
+  ASSERT_TRUE(snap.histograms.count("kernel/test/inner"));
+  ASSERT_TRUE(snap.histograms.count("kernel/test/outer"));
+  EXPECT_EQ(snap.histograms.at("kernel/test/outer").count, 1u);
+  EXPECT_EQ(counter_value(snap, "kernel/test/inner/items"), 1000u);
+  EXPECT_EQ(counter_value(snap, "kernel/test/outer/items"), 0u);
 }
 
 TEST(Metrics, ReportsContainRecordedKernels) {
-  const bool was_enabled = metrics::enabled();
-  metrics::set_enabled(true);
-  metrics::reset();
+  obs::set_stats_enabled(true);
+  obs::stats_reset();
   ThreadPool pool(2);
   {
-    metrics::KernelScope scope("test/report_kernel");
+    obs::KernelScope scope("test/report_kernel");
     parallel_for_dynamic(0, 2000, [](index_t) {}, pool);
   }
-  const auto text = metrics::report_text();
-  const auto json = metrics::report_json();
-  metrics::set_enabled(was_enabled);
-  EXPECT_NE(text.find("test/report_kernel"), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"test/report_kernel\""), std::string::npos);
-  EXPECT_NE(json.find("\"imbalance\":"), std::string::npos);
+  const auto json = obs::stats_json(obs::stats_snapshot());
+  EXPECT_NE(json.find("\"kernel/test/report_kernel\":{\"count\":1,"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"kernel/test/report_kernel/items\":2000"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"kernel/test/report_kernel/busy_ns\":"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------

@@ -2,7 +2,7 @@
 // nesting from pooled workers, ring-buffer wrap accounting, binary
 // round-trips, Chrome JSON export, multi-file merge, and the distributed
 // runtime's fault/retry annotations lining up event-for-event with the
-// runtime's own fault statistics.
+// runtime's own fault statistics, and one span per served frame.
 //
 // CI runs this suite under TSan: concurrent span emission from pool
 // workers and rank threads against a quiescent-snapshot reader is exactly
@@ -22,9 +22,12 @@
 #include "kronlab/dist/sharded.hpp"
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/kron/ground_truth.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
-#include "kronlab/parallel/metrics.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
+#include "kronlab/serve/client.hpp"
+#include "kronlab/serve/server.hpp"
+#include "kronlab/serve/transport.hpp"
 #include "temp_dir.hpp"
 
 namespace kronlab::trace {
@@ -155,17 +158,14 @@ TEST_F(TraceTest, CountersCarryValues) {
 // Concurrent emission from pooled workers.
 
 TEST_F(TraceTest, PooledWorkerSpansAreWellNestedPerThread) {
-  metrics::set_enabled(true);
   {
-    metrics::KernelScope scope("trace_test_kernel");
+    obs::KernelScope scope("trace_test_kernel");
     std::atomic<long> sink{0};
     parallel_for_dynamic(0, 200000,
                          [&](index_t i) {
                            sink.fetch_add(i % 7, std::memory_order_relaxed);
                          });
   }
-  metrics::set_enabled(false);
-  metrics::reset();
   const auto evs = snapshot(); // pool joined: quiescent
   expect_well_nested(evs);
   // The KernelScope span appears with cat "kernel", and each worker that
@@ -376,6 +376,30 @@ TEST_F(TraceTest, ExchangeRetriesEmitOneAnnotationEach) {
   }
   // The exchange itself shows up as one span per rank.
   EXPECT_EQ(count_named(evs, "ghost_exchange"), 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Served frames: one span per request.
+
+TEST_F(TraceTest, ServedFrameYieldsOneRequestSpan) {
+  Rng rng(31);
+  const auto kp = kron::BipartiteKronecker::assumption_ii(
+      gen::connected_random_bipartite(4, 4, 10, rng),
+      gen::connected_random_bipartite(4, 5, 12, rng));
+  serve::Server server(kp);
+  auto [client_end, server_end] = serve::local_pair();
+  server.adopt(std::move(server_end));
+  serve::Client client(std::move(client_end));
+  const auto spans_before = events_of_kind(snapshot(), Kind::span).size();
+  (void)client.vertex(0);
+  server.stop(); // reader joined: quiescent
+  const auto spans = events_of_kind(snapshot(), Kind::span);
+  EXPECT_EQ(spans.size(), spans_before + 1);
+  std::size_t requests = 0;
+  for (const auto& e : spans) {
+    requests += e.cat == "serve" && e.name == "request" ? 1 : 0;
+  }
+  EXPECT_EQ(requests, 1u);
 }
 
 } // namespace
