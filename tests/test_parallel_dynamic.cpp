@@ -302,6 +302,23 @@ TEST(Metrics, NestedScopesAttributeToInnermost) {
   EXPECT_EQ(counter_value(snap, "kernel/test/outer/items"), 0u);
 }
 
+TEST(Metrics, DisabledScopesRecordNothing) {
+  const bool was_enabled = obs::stats_enabled();
+  obs::set_stats_enabled(false);
+  obs::stats_reset();
+  ThreadPool pool(2);
+  {
+    obs::KernelScope scope("test/disabled");
+    parallel_for_dynamic(0, 100, [](index_t) {}, pool, /*grain=*/10);
+  }
+  const auto snap = obs::stats_snapshot();
+  obs::set_stats_enabled(was_enabled);
+  EXPECT_EQ(snap.histograms.count("kernel/test/disabled"), 0u);
+  EXPECT_EQ(snap.counters.count("kernel/test/disabled/items"), 0u);
+  EXPECT_EQ(snap.counters.count("kernel/test/disabled/chunks"), 0u);
+  EXPECT_EQ(snap.gauges.count("kernel/test/disabled/workers"), 0u);
+}
+
 TEST(Metrics, ReportsContainRecordedKernels) {
   obs::set_stats_enabled(true);
   obs::stats_reset();
