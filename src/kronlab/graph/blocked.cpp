@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -22,10 +23,13 @@ void require_simple(const Adjacency& a, const char* where) {
   }
 }
 
-/// Blocked wedge accumulator: dense 32-bit counters over relabeled ids
-/// [0, block), open-addressing hash for the tail.  A wedge count is at
-/// most min(d_i, d_k) < n, so 32 bits suffice for any factor this library
-/// materializes (products beyond 2^32 vertices are never counted
+/// Blocked wedge accumulator: dense 32-bit counters over the
+/// wedge_block_entries ids just above the current start vertex,
+/// open-addressing hash for the ends beyond them.  Every end k of a wedge
+/// from start i ranks above i, so the block is indexed by k − (i + 1) and
+/// covers the same window of the rank space whatever i is.  A wedge count
+/// is at most min(d_i, d_k) < n, so 32 bits suffice for any factor this
+/// library materializes (products beyond 2^32 vertices are never counted
 /// directly).
 class WedgeAccumulator {
 public:
@@ -34,12 +38,17 @@ public:
         dense_(static_cast<std::size_t>(block_), 0),
         touched_dense_(static_cast<std::size_t>(block_) + 1) {}
 
+  /// Begin the wedges of start vertex i: every end added until the next
+  /// drain or clear ranks above i.  Call only on an empty table.
+  void start(index_t i) { base_ = i + 1; }
+
   void add(index_t k) {
-    if (k < block_) {
-      // Branchless append: always write k past the touched prefix, and
+    const index_t d = k - base_;
+    if (d < block_) {
+      // Branchless append: always write d past the touched prefix, and
       // keep it only when this is k's first wedge.
-      auto& slot = dense_[static_cast<std::size_t>(k)];
-      touched_dense_[touched_count_] = static_cast<std::uint32_t>(k);
+      auto& slot = dense_[static_cast<std::size_t>(d)];
+      touched_dense_[touched_count_] = static_cast<std::uint32_t>(d);
       touched_count_ += static_cast<std::size_t>(slot == 0);
       ++slot;
     } else {
@@ -48,8 +57,9 @@ public:
   }
 
   [[nodiscard]] count_t get(index_t k) const {
-    if (k < block_) {
-      return static_cast<count_t>(dense_[static_cast<std::size_t>(k)]);
+    const index_t d = k - base_;
+    if (d < block_) {
+      return static_cast<count_t>(dense_[static_cast<std::size_t>(d)]);
     }
     if (tail_keys_.empty()) return 0;
     const std::size_t mask = tail_keys_.size() - 1;
@@ -67,9 +77,9 @@ public:
   template <typename Use>
   void drain(Use&& use) {
     for (std::size_t t = 0; t < touched_count_; ++t) {
-      const std::uint32_t k = touched_dense_[t];
-      use(static_cast<index_t>(k), static_cast<count_t>(dense_[k]));
-      dense_[k] = 0;
+      const std::uint32_t d = touched_dense_[t];
+      use(base_ + static_cast<index_t>(d), static_cast<count_t>(dense_[d]));
+      dense_[d] = 0;
     }
     touched_count_ = 0;
     for (const std::size_t s : touched_tail_) {
@@ -93,7 +103,8 @@ private:
   static constexpr index_t empty_key = -1;
 
   [[nodiscard]] static std::size_t hash_of(index_t k) {
-    // Fibonacci hashing; keys are ≥ block_ so low bits alone are biased.
+    // Fibonacci hashing; keys are ≥ base_ + block_, so low bits alone
+    // are biased.
     return static_cast<std::size_t>(
         static_cast<std::uint64_t>(k) * 0x9e3779b97f4a7c15ull >> 32);
   }
@@ -136,15 +147,44 @@ private:
   }
 
   index_t block_;
-  std::vector<std::uint32_t> dense_;  ///< counts for ids < block_
-  /// Ids touched since the last drain, in [0, touched_count_); one slot
-  /// more than block_ for the speculative write of add().
+  index_t base_ = 0;                  ///< lowest id the current start reaches
+  std::vector<std::uint32_t> dense_;  ///< counts for ids base_ + [0, block_)
+  /// Offsets from base_ touched since the last drain, in
+  /// [0, touched_count_); one slot more than block_ for the speculative
+  /// write of add().
   std::vector<std::uint32_t> touched_dense_;
   std::size_t touched_count_ = 0;
   std::vector<index_t> tail_keys_;    ///< open addressing, power-of-two
   std::vector<std::uint32_t> tail_vals_;
   std::vector<std::size_t> touched_tail_; ///< occupied slots, for drain
 };
+
+/// Visit `use(position, id)` for the entries of a sorted relabeled row
+/// that rank above i, last first.  A row's entries above i are its suffix,
+/// so the scan stops at the first entry ≤ i without a search.
+template <typename Use>
+void for_each_above(std::span<const index_t> row, index_t i, Use&& use) {
+  for (std::size_t e = row.size(); e-- > 0;) {
+    if (row[e] <= i) break;
+    use(e, row[e]);
+  }
+}
+
+/// Pass A of both kernels: count cnt[k] over the wedges i–j–k whose
+/// centre j and end k both rank above the start i.
+void count_wedges(const Adjacency& g, index_t i, WedgeAccumulator& acc) {
+  acc.start(i);
+  for_each_above(g.row_cols(i), i, [&](std::size_t, index_t j) {
+    for_each_above(g.row_cols(j), i,
+                   [&](std::size_t, index_t k) { acc.add(k); });
+  });
+}
+
+/// Rows per dynamic chunk of the wedge passes.  Under the priority rule
+/// the wedges concentrate on the lowest ranks (the hubs), so the default
+/// grain of n/(8·workers) rows would put every hub in one chunk; DESIGN §6
+/// gives the sweep this value comes from.
+constexpr index_t wedge_grain = 16;
 
 } // namespace
 
@@ -278,9 +318,11 @@ grb::Vector<count_t> vertex_butterflies_blocked(const Adjacency& a) {
   const DegreeOrder ord(a);
   const Adjacency& g = ord.relabeled;
 
-  // Per-worker partial per-vertex sums (in rank space): each unordered
-  // endpoint pair {i, k} is visited once, from the higher-rank (lower
-  // degree) side, and credits both endpoints.
+  // Per-worker partial per-vertex sums (in rank space).  Each 4-cycle is
+  // counted once, from its lowest-rank vertex i: pass A counts cnt[k], the
+  // wedges i–j–k with j and k both ranked above i; pass B replays them and
+  // credits each centre j with Σ_k (cnt[k] − 1); the drain credits C(c,2)
+  // to the start i and to each end k.
   struct Scratch {
     WedgeAccumulator acc;
     std::vector<count_t>* partial;
@@ -295,12 +337,17 @@ grb::Vector<count_t> vertex_butterflies_blocked(const Adjacency& a) {
       [&](Scratch& ws, index_t lo, index_t hi) {
         auto& partial = *ws.partial;
         for (index_t i = lo; i < hi; ++i) {
-          for (const index_t j : g.row_cols(i)) {
-            for (const index_t k : g.row_cols(j)) {
-              if (k >= i) break; // row sorted: rest is higher-rank pairs
-              ws.acc.add(k);
-            }
-          }
+          count_wedges(g, i, ws.acc);
+          if (ws.acc.empty()) continue; // i tops no 4-cycle
+          for_each_above(g.row_cols(i), i, [&](std::size_t, index_t j) {
+            count_t own = 0;
+            // k was added in pass A through this very wedge, so
+            // cnt[k] ≥ 1 and the credit is never negative.
+            for_each_above(g.row_cols(j), i, [&](std::size_t, index_t k) {
+              own += ws.acc.get(k) - 1;
+            });
+            partial[static_cast<std::size_t>(j)] += own;
+          });
           count_t own = 0;
           ws.acc.drain([&](index_t k, count_t c) {
             const count_t pairs = c * (c - 1) / 2;
@@ -309,7 +356,8 @@ grb::Vector<count_t> vertex_butterflies_blocked(const Adjacency& a) {
           });
           partial[static_cast<std::size_t>(i)] += own;
         }
-      });
+      },
+      global_pool(), wedge_grain);
 
   parallel_for_dynamic(0, n, [&](index_t r) {
     count_t acc = 0;
@@ -330,16 +378,13 @@ grb::Csr<count_t> edge_butterflies_blocked(const Adjacency& a) {
   const auto& grp = g.row_ptr();
   const index_t n = g.nrows();
 
-  // Phase 1: rank-halved pair enumeration, the same work-halving the
-  // vertex kernel uses.  Each endpoint pair {i, k} is materialized once,
-  // from its higher-rank side i: pass A builds cnt[k] = |N(i) ∩ N(k)|
-  // scanning only the sorted k < i prefix of each N(j) (j ranges over all
-  // of N(i), so the counts are the full intersections), then pass B
-  // replays the identical — now cache-warm — wedge prefix and credits the
-  // (c − 1) butterflies pair {i, k} contributes through wedge i–j–k to
-  // both of the wedge's edges: entry (i, j) of row i and entry (j, k) of
-  // row j, stored-entry offsets known directly from the row walks.  Each
-  // undirected edge thus accumulates across its two mirror slots — phase 2
+  // Phase 1: the vertex kernel's wedges, each 4-cycle from its lowest-rank
+  // vertex i.  Pass A builds cnt[k] over the wedges i–j–k with j and k
+  // ranked above i; pass B replays the same — now cache-warm — wedges and
+  // credits the (c − 1) 4-cycles wedge i–j–k closes to both of its edges:
+  // entry (i, j) of row i and entry (j, k) of row j, stored-entry offsets
+  // known directly from the row walks.  Each 4-cycle thus reaches each of
+  // its four edges once, in one of the edge's two mirror slots — phase 2
   // folds them.  Row j is shared across many i, so workers accumulate
   // into private images of rvals, reduced once at the end into worker
   // 0's image (the calling thread always participates as worker 0).
@@ -360,34 +405,25 @@ grb::Csr<count_t> edge_butterflies_blocked(const Adjacency& a) {
         [&](Scratch& ws, index_t lo, index_t hi) {
           auto& rpart = *ws.rpart;
           for (index_t i = lo; i < hi; ++i) {
-            const auto cols = g.row_cols(i);
-            for (const index_t j : cols) {
-              for (const index_t k : g.row_cols(j)) {
-                if (k >= i) break; // sorted row: rest pairs with ranks ≥ i
-                ws.acc.add(k);
-              }
-            }
-            if (ws.acc.empty()) continue; // no pair has i as upper end
+            count_wedges(g, i, ws.acc);
+            if (ws.acc.empty()) continue; // i tops no 4-cycle
             const auto base = static_cast<std::size_t>(grp[i]);
-            for (std::size_t e = 0; e < cols.size(); ++e) {
-              const index_t j = cols[e];
-              const auto jcols = g.row_cols(j);
+            for_each_above(g.row_cols(i), i, [&](std::size_t e, index_t j) {
               const auto jbase = static_cast<std::size_t>(grp[j]);
               count_t own = 0;
-              for (std::size_t f = 0; f < jcols.size(); ++f) {
-                const index_t k = jcols[f];
-                if (k >= i) break;
+              for_each_above(g.row_cols(j), i, [&](std::size_t f, index_t k) {
                 // k was added in pass A through this very wedge, so
                 // cnt[k] ≥ 1 and the credit is never negative.
                 const count_t c = ws.acc.get(k) - 1;
                 own += c;
                 rpart[jbase + f] += c;
-              }
+              });
               rpart[base + e] += own;
-            }
+            });
             ws.acc.clear();
           }
-        });
+        },
+        global_pool(), wedge_grain);
     parallel_for_range_dynamic(
         0, static_cast<index_t>(g.nnz()), [&](index_t lo, index_t hi) {
           for (std::size_t w = 1; w < partials.size(); ++w) {
@@ -423,11 +459,9 @@ grb::Csr<count_t> edge_butterflies_blocked(const Adjacency& a) {
         if (i >= j) break;
         const auto mirror = static_cast<std::size_t>(
             cursor[static_cast<std::size_t>(i)]++);
-        // Every 4-cycle through edge {i, j} was credited twice in phase
-        // 1 — once per diagonal pair it contains — with the two credits
-        // split across the mirror slots, so the folded sum is exactly
-        // 2·◇_ij (always even).
-        const count_t v = (rvals[base + e] + rvals[mirror]) / 2;
+        // Phase 1 credited every 4-cycle through edge {i, j} once, to
+        // one of the two mirror slots, so their sum is ◇_ij.
+        const count_t v = rvals[base + e] + rvals[mirror];
         rvals[base + e] = v;
         rvals[mirror] = v;
       }

@@ -10,31 +10,31 @@
 // miss.  The kernels here restructure that hot path three ways:
 //
 //  1. Degree ordering.  Vertices are relabeled by non-increasing degree
-//     (ties by original id).  Hot wedge endpoints cluster at the low end
-//     of the id space, so accumulator traffic concentrates in a few
-//     cache-resident pages, and iterating rows in relabeled order visits
-//     the CSR in degree-sorted blocks — the dynamic scheduler's chunks
-//     carry comparable work and stay cache-resident.  The relabel runs on
+//     (ties by original id), so the hubs take the lowest ids and the
+//     wedge rule of item 3 is one integer comparison.  The relabel runs on
 //     the pool: a stable counting sort over per-worker id ranges assigns
 //     the ranks, then every relabeled row gathers its neighbours' ranks
 //     and sorts them on its own.
 //
 //  2. Blocked accumulation.  The per-worker accumulator is a dense
-//     L2-sized block over the head of the relabeled id space, with an
-//     open-addressing hash map catching the (rare, low-degree) tail
-//     beyond the block.  The dense block uses 32-bit counters: a wedge
-//     count |N(i) ∩ N(k)| never exceeds the vertex count of a factor.
+//     L2-sized block over the ranks just above the current start vertex,
+//     with an open-addressing hash map catching the ends beyond the block.
+//     The dense block uses 32-bit counters: a wedge count |N(i) ∩ N(k)|
+//     never exceeds the vertex count of a factor.
 //
-//  3. Rank-halved pair enumeration.  In relabeled order, id comparison
-//     IS degree comparison, so each wedge-endpoint pair {i, k} is
-//     materialized exactly once, from its higher-rank (lower-degree)
-//     side: the (sorted) inner scan stops at k ≥ i, halving wedge
-//     traffic.  The vertex kernel credits C(c,2) to both endpoints from
-//     the table drain.  The edge kernel replays the same — now
-//     cache-warm — wedge prefix a second time and credits (c − 1)
-//     butterflies to both edges of each wedge at stored-entry offsets
-//     known from the row walk, then folds each edge's two mirror CSR
-//     slots with one cursor sweep.
+//  3. Vertex-priority wedge enumeration (Chiba–Nishizeki, Wang et al.).
+//     In relabeled order, id comparison IS degree comparison, and a wedge
+//     i–j–k is enumerated only when the centre j and the end k both rank
+//     above the start i.  Every 4-cycle is then counted once, from its
+//     lowest-rank (highest-degree) vertex, and a wedge's centre never has
+//     a higher degree than its start.  Rows are sorted, so the entries above i are a row's suffix:
+//     each scan walks it backwards and stops at the first entry ≤ i.  Pass
+//     A counts cnt[k] per end; pass B replays the same, now cache-warm,
+//     wedges.  The vertex kernel credits Σ (cnt[k] − 1) to each centre and
+//     C(c,2) to the start and to each end.  The edge kernel credits c − 1
+//     to both edges of each wedge at stored-entry offsets known from the
+//     row walk, which reaches each edge of each 4-cycle once, then sums
+//     each edge's two mirror CSR slots with one cursor sweep.
 //
 // All kernels return counts bit-identical to the reference implementations
 // (exact integer combinatorics — the cross-check suite and the factored

@@ -37,6 +37,8 @@ struct RegistryImpl {
   struct HistEntry {
     std::unique_ptr<Histogram> hist;
     std::vector<std::unique_ptr<Histogram::Shard>> shards;
+    /// Shards of exited threads, totals intact, for the next new recorder.
+    std::vector<Histogram::Shard*> free_shards;
     std::string name;
   };
 
@@ -58,10 +60,50 @@ struct RegistryImpl {
 };
 
 // Per-thread shard cache, indexed by Histogram::id_.  The shards
-// themselves are owned by the (leaked) registry, so a thread dying only
-// discards its pointers, never the data.
+// themselves are owned by the (leaked) registry.  When a thread exits, its
+// cache hands each shard back to its histogram's free list, where the next
+// thread to record takes it over: the counts stay in the shard, so
+// snapshots stay exact, and a process that keeps starting threads holds
+// no more shards than it ever had recording threads at once.
 namespace {
-thread_local std::vector<Histogram::Shard*> tl_shards;
+struct ThreadShards {
+  ThreadShards() = default;
+  ThreadShards(const ThreadShards&) = delete;
+  ThreadShards& operator=(const ThreadShards&) = delete;
+  ~ThreadShards(); ///< hands every shard to its histogram's free list
+
+  std::vector<Histogram::Shard*> by_id;
+};
+
+// The fast path reads only trivially destructible thread_locals, so a
+// record() made after this thread's cache is gone (from a later
+// thread_local or static destructor) is still safe: it gets shards of its
+// own that are never handed back.
+thread_local ThreadShards* tl_shards = nullptr;
+thread_local bool tl_shards_gone = false;
+
+ThreadShards::~ThreadShards() {
+  RegistryImpl& r = RegistryImpl::get();
+  MutexLock lock(r.mu);
+  for (std::size_t id = 0; id < by_id.size(); ++id) {
+    if (by_id[id] != nullptr) r.hists[id].free_shards.push_back(by_id[id]);
+  }
+  tl_shards = nullptr;
+  tl_shards_gone = true;
+}
+
+ThreadShards& thread_shards() {
+  if (tl_shards == nullptr) {
+    if (tl_shards_gone) {
+      // kronlab-lint: allow(naked-new) — deliberately leaked, see above.
+      tl_shards = new ThreadShards;
+    } else {
+      thread_local ThreadShards owned;
+      tl_shards = &owned;
+    }
+  }
+  return *tl_shards;
+}
 } // namespace
 
 Counter& counter(std::string_view name) {
@@ -126,16 +168,25 @@ std::uint64_t Histogram::bucket_mid(std::size_t bucket) {
 }
 
 Histogram::Shard& Histogram::shard() {
-  if (id_ < tl_shards.size() && tl_shards[id_] != nullptr) {
-    return *tl_shards[id_];
+  const ThreadShards* const cached = tl_shards;
+  if (cached != nullptr && id_ < cached->by_id.size() &&
+      cached->by_id[id_] != nullptr) {
+    return *cached->by_id[id_];
   }
+  ThreadShards& mine = thread_shards();
   RegistryImpl& r = RegistryImpl::get();
   MutexLock lock(r.mu);
-  auto shard = std::make_unique<Shard>();
-  Shard* raw = shard.get();
-  r.hists[id_].shards.push_back(std::move(shard));
-  if (tl_shards.size() <= id_) tl_shards.resize(id_ + 1, nullptr);
-  tl_shards[id_] = raw;
+  RegistryImpl::HistEntry& entry = r.hists[id_];
+  Shard* raw = nullptr;
+  if (!entry.free_shards.empty()) {
+    raw = entry.free_shards.back();
+    entry.free_shards.pop_back();
+  } else {
+    entry.shards.push_back(std::make_unique<Shard>());
+    raw = entry.shards.back().get();
+  }
+  if (mine.by_id.size() <= id_) mine.by_id.resize(id_ + 1, nullptr);
+  mine.by_id[id_] = raw;
   return *raw;
 }
 
@@ -185,6 +236,7 @@ StatsSnapshot stats_snapshot() {
   for (const auto& [name, g] : r.gauges) out.gauges[name] = g->value();
   for (const auto& entry : r.hists) {
     HistogramSnapshot hs;
+    hs.shards = entry.shards.size();
     hs.buckets.assign(Histogram::kBuckets, 0);
     for (const auto& shard : entry.shards) {
       hs.count += shard->count.load(std::memory_order_relaxed);

@@ -270,6 +270,9 @@ struct HistogramSnapshot {
   std::uint64_t sum = 0;
   std::uint64_t max = 0;
   std::vector<std::uint64_t> buckets; ///< merged across shards
+  /// Shards the histogram holds: one per thread recording into it at
+  /// once, at most (an exited thread's shard passes to the next one).
+  std::size_t shards = 0;
 
   /// Value at quantile q in [0,1] (bucket midpoint; exact max for q=1
   /// or when the rank lands in the top occupied bucket).  0 when empty.

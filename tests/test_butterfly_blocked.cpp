@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "kronlab/common/random.hpp"
+#include "kronlab/gen/canonical.hpp"
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/gen/rmat.hpp"
 #include "kronlab/graph/blocked.hpp"
@@ -44,33 +45,51 @@ Adjacency seeded_graph(int id) {
   }
 }
 
-// A sparse, hub-heavy bipartite graph with more than wedge_block_entries
-// vertices, so the lowest-degree ranks fall in the wedge accumulator's
-// hash tail.  Vertices [0, small_hubs) are hubs of degree ~67, vertex
-// big_hub is a hub of degree 2000, and every leaf has degree 2.  Ties
-// rank in id order, so the last leaves — all adjacent to the big hub —
-// get the highest ranks: each of them walks past up to 1999 distinct tail
-// endpoints in one row, which makes the tail table rehash twice.
-constexpr index_t small_hubs = 2000;
-constexpr index_t big_hub = small_hubs;
+// A sparse bipartite graph whose 4-cycles reach the wedge accumulator's
+// hash tail.  The kernels enumerate wedges i–j–k only from a start i that
+// ranks below both j and k, and keep a dense block for the ends k within
+// wedge_block_entries ranks above i; farther ends go to the tail.  So the
+// graph needs ends ranked more than wedge_block_entries above a start,
+// reached through centres that rank above that start.  Here vertex 0 is a
+// hub joined to `centres` mid-degree centres, and each of `leaves` leaves
+// joins two distinct centres.  The hub's degree (512) beats every
+// centre's (1 + 2·68000/512 ≈ 267 on average), and a leaf has degree 2, so
+// the hub ranks 0, the centres rank 1..512 and the leaves rank above them
+// in id order.  From the hub, every leaf is a wedge end with count 2 (one
+// 4-cycle hub–centre–leaf–centre), and the ~3000 leaves ranked more than
+// wedge_block_entries above the hub land in the tail, which grows from
+// 1024 to 8192 slots on the way.
+constexpr index_t centres = 512;
 constexpr index_t leaves = 68000;
-constexpr index_t big_hub_leaves = 2000;
 
 Adjacency hub_tail_graph() {
   Rng rng(7177);
   std::vector<std::pair<index_t, index_t>> edges;
+  for (index_t c = 1; c <= centres; ++c) edges.emplace_back(0, c);
   for (index_t l = 0; l < leaves; ++l) {
-    const index_t leaf = big_hub + 1 + l;
-    const index_t h = rng.uniform(0, small_hubs - 1);
-    edges.emplace_back(leaf, h);
-    if (l >= leaves - big_hub_leaves) {
-      edges.emplace_back(leaf, big_hub);
-    } else {
-      const index_t h2 = rng.uniform(0, small_hubs - 2);
-      edges.emplace_back(leaf, h2 < h ? h2 : h2 + 1); // a second, distinct hub
+    const index_t leaf = centres + 1 + l;
+    const index_t c = rng.uniform(1, centres);
+    const index_t c2 = rng.uniform(1, centres - 1);
+    edges.emplace_back(leaf, c);
+    edges.emplace_back(leaf, c2 < c ? c2 : c2 + 1); // a second, distinct centre
+  }
+  return graph::from_undirected_edges(centres + 1 + leaves, edges);
+}
+
+/// Wedges i–j–k the blocked kernels enumerate (j and k ranked above i)
+/// whose end k lies past the dense block, so it is counted in the tail.
+count_t tail_wedges(const graph::DegreeOrder& ord) {
+  const auto& g = ord.relabeled;
+  count_t tail = 0;
+  for (index_t i = 0; i < g.nrows(); ++i) {
+    for (const index_t j : g.row_cols(i)) {
+      if (j <= i) continue;
+      for (const index_t k : g.row_cols(j)) {
+        if (k > i && k - (i + 1) >= graph::wedge_block_entries) ++tail;
+      }
     }
   }
-  return graph::from_undirected_edges(big_hub + 1 + leaves, edges);
+  return tail;
 }
 
 // -------------------------------------------------------------------------
@@ -221,26 +240,93 @@ TEST_P(BlockedWidthTest, DispatchersUseBlockedAndStayExact) {
   }
 }
 
+// Expect both blocked kernels to agree with the references on `a`.
+void expect_blocked_matches_reference(const Adjacency& a, const char* what) {
+  EXPECT_EQ(graph::vertex_butterflies_blocked(a),
+            graph::vertex_butterflies_reference(a))
+      << what;
+  EXPECT_EQ(graph::edge_butterflies_blocked(a),
+            graph::edge_butterflies_reference(a))
+      << what;
+}
+
+TEST_P(BlockedWidthTest, RegularGraphsLetTheIdTieBreakDecide) {
+  // Every degree ties, so the rank order is the id order.  Q_d has C(d,2)
+  // 4-cycles at each vertex and d − 1 through each edge.
+  ThreadPool pool(GetParam());
+  ScopedPoolOverride guard(pool);
+  constexpr int d = 6;
+  const auto q = gen::hypercube(d);
+  const auto s = graph::vertex_butterflies_blocked(q);
+  for (index_t v = 0; v < q.nrows(); ++v) {
+    ASSERT_EQ(s[v], d * (d - 1) / 2) << "vertex " << v;
+  }
+  const auto e = graph::edge_butterflies_blocked(q);
+  for (const count_t c : e.vals()) ASSERT_EQ(c, d - 1);
+  expect_blocked_matches_reference(q, "hypercube");
+  expect_blocked_matches_reference(gen::crown_graph(9), "crown");
+}
+
+TEST_P(BlockedWidthTest, CompleteBipartiteMatchesClosedForms) {
+  // K_{a,b}: a left vertex lies on (a−1)·C(b,2) 4-cycles, a right vertex
+  // on (b−1)·C(a,2), and an edge on (a−1)(b−1).
+  ThreadPool pool(GetParam());
+  ScopedPoolOverride guard(pool);
+  constexpr index_t na = 5;
+  constexpr index_t nb = 7;
+  const auto k = gen::complete_bipartite(na, nb);
+  const auto s = graph::vertex_butterflies_blocked(k);
+  for (index_t v = 0; v < na; ++v) {
+    EXPECT_EQ(s[v], (na - 1) * nb * (nb - 1) / 2) << "left " << v;
+  }
+  for (index_t v = na; v < na + nb; ++v) {
+    EXPECT_EQ(s[v], (nb - 1) * na * (na - 1) / 2) << "right " << v;
+  }
+  const auto e = graph::edge_butterflies_blocked(k);
+  ASSERT_EQ(e.nnz(), 2 * na * nb);
+  for (const count_t c : e.vals()) EXPECT_EQ(c, (na - 1) * (nb - 1));
+}
+
+TEST_P(BlockedWidthTest, StarWithIsolatedVerticesHasNoSquares) {
+  // Isolated ids on both sides of the hub and its leaves: degree 0 ranks
+  // last, and no wedge closes.
+  ThreadPool pool(GetParam());
+  ScopedPoolOverride guard(pool);
+  const index_t hub = 7;
+  std::vector<std::pair<index_t, index_t>> edges;
+  for (const index_t leaf : {1, 3, 4, 9, 12, 13, 15}) {
+    edges.emplace_back(hub, leaf);
+  }
+  const auto a = graph::from_undirected_edges(18, edges);
+  EXPECT_EQ(graph::vertex_butterflies_blocked(a),
+            grb::Vector<count_t>(a.nrows(), 0));
+  const auto e = graph::edge_butterflies_blocked(a);
+  EXPECT_EQ(e.col_idx(), a.col_idx());
+  for (const count_t c : e.vals()) EXPECT_EQ(c, 0);
+  expect_blocked_matches_reference(a, "star");
+}
+
 INSTANTIATE_TEST_SUITE_P(PoolWidths, BlockedWidthTest,
                          ::testing::Values(1, 2, 4, 8));
 
 TEST(BlockedHashTail, MatchesReferenceBeyondTheDenseBlock) {
   const auto a = hub_tail_graph();
   ASSERT_GT(a.nrows(), graph::wedge_block_entries);
-  {
-    // Every big-hub leaf must rank in the tail, or the tail goes untested.
-    const graph::DegreeOrder ord(a);
-    for (index_t v = a.nrows() - big_hub_leaves; v < a.nrows(); ++v) {
-      ASSERT_GE(ord.rank[static_cast<std::size_t>(v)],
-                graph::wedge_block_entries)
-          << "vertex " << v;
-    }
+  // The hub must rank first and outrank every centre, or the wedges from
+  // it miss the tail and the tail goes untested.
+  const graph::DegreeOrder ord(a);
+  ASSERT_EQ(ord.rank[0], 0);
+  for (index_t c = 1; c <= centres; ++c) {
+    ASSERT_LE(ord.rank[static_cast<std::size_t>(c)], centres) << "centre " << c;
   }
+  ASSERT_GT(tail_wedges(ord), 2 * 1024) << "too few tail ends to rehash";
   const auto vref = graph::vertex_butterflies_reference(a);
   const auto eref = graph::edge_butterflies_reference(a);
   count_t tail_squares = 0;
-  for (index_t v = a.nrows() - big_hub_leaves; v < a.nrows(); ++v) {
-    tail_squares += vref[v];
+  for (index_t v = 0; v < a.nrows(); ++v) {
+    if (ord.rank[static_cast<std::size_t>(v)] > graph::wedge_block_entries) {
+      tail_squares += vref[v];
+    }
   }
   ASSERT_GT(tail_squares, 0) << "no 4-cycle reaches the tail";
   for (const std::size_t width : {1u, 4u}) {

@@ -251,6 +251,22 @@ TEST(ObsRegistry, ConcurrentRecordersWithLiveSnapshots) {
   EXPECT_EQ(bucket_total, total);
 }
 
+TEST(ObsRegistry, ExitedThreadsHandTheirShardsOn) {
+  // 200 threads, one at a time, each recording once: every exiting thread
+  // hands its shard to the next, so the histogram keeps counting in the
+  // same shard and never holds more than the two threads that overlap
+  // around a join.
+  set_stats_enabled(true);
+  Histogram& h = histogram("test/shard_handoff");
+  for (int t = 0; t < 200; ++t) {
+    std::thread([&h] { h.record(42); }).join();
+  }
+  const auto snap = stats_snapshot();
+  const auto& hs = snap.histograms.at("test/shard_handoff");
+  EXPECT_EQ(hs.count, 200u);
+  EXPECT_LE(hs.shards, 2u);
+}
+
 // ---------------------------------------------------------------------
 // Renderers
 // ---------------------------------------------------------------------
